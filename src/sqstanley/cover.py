@@ -52,6 +52,11 @@ def first_interval_partition(support, tops_for):
         dead.add(state)
         return False
 
-    if extend():
-        return chosen
-    return None
+    try:
+        if extend():
+            return chosen
+        return None
+    finally:
+        # extend's closure refers to extend itself; break that cycle so
+        # the memo is freed on return, not at the next collection
+        extend = None

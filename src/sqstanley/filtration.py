@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, NMismatchError
 from .ideals import SqIdeal
-from .setcalc import IndexSet, Interval
+from .setcalc import IndexSet, Interval, one_smaller
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -112,13 +112,15 @@ def facet_peel_filtration(module: SqQuotient) -> PrimeFiltration:
     """
     n = module.n
     full = (1 << n) - 1
-    remaining = set(module.support_masks())
+    # what remains stays order convex, so its maximal members are those
+    # with no member one element larger
+    remaining = module.support_word
     steps = []
     while remaining:
-        peel = min(m for m in remaining
-                   if not any(s != m and s & m == m for s in remaining))
+        maximal = remaining & ~one_smaller(remaining, n)
+        peel = (maximal & -maximal).bit_length() - 1
         steps.append(FiltrationStep(IndexSet(n, peel), IndexSet(n, full ^ peel)))
-        remaining.discard(peel)
+        remaining ^= 1 << peel
     return PrimeFiltration(n, module.inner, tuple(steps))
 
 

@@ -18,7 +18,13 @@ from .setcalc import (
     MATERIALIZE_BITS,
     IndexSet,
     SimplicialComplex,
+    _same_n,
+    family_word,
+    full_word,
     minimal_nonface_masks,
+    one_smaller,
+    up_closure,
+    word_masks,
 )
 
 MAX_EXPONENT = 1 << 16
@@ -111,11 +117,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial.of{self.exponents}"
-
-
-def _same_n(a, b) -> None:
-    if a.n != b.n:
-        raise NMismatchError(f"ground sets differ: n={a.n} vs n={b.n}")
 
 
 def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -284,6 +285,13 @@ class SqIdeal:
     def contains_mask(self, mask: int) -> bool:
         return any(g & ~mask == 0 for g in self.gen_masks)
 
+    def member_word(self) -> int:
+        """The squarefree members as a family word: the up-closure of the
+        generators."""
+        if self.n > MATERIALIZE_BITS:
+            raise CapExceededError(f"2^{self.n} sweep refused; n must be <= {MATERIALIZE_BITS}")
+        return up_closure(family_word(self.gen_masks), self.n)
+
     def __contains__(self, s: IndexSet) -> bool:
         if s.n != self.n:
             raise NMismatchError(f"set over n={s.n} in ideal over n={self.n}")
@@ -291,6 +299,13 @@ class SqIdeal:
 
     def __str__(self) -> str:
         return str(self.to_monomial_ideal())
+
+
+def _sr_facet_masks(ideal: SqIdeal) -> tuple[int, ...]:
+    """Facets of the Stanley-Reisner complex, colex order: the faces
+    (non-members of the ideal) with no face one element larger."""
+    faces = full_word(ideal.n) & ~ideal.member_word()
+    return word_masks(faces & ~one_smaller(faces, ideal.n))
 
 
 def sr_complex(ideal: SqIdeal) -> SimplicialComplex:
@@ -301,16 +316,7 @@ def sr_complex(ideal: SqIdeal) -> SimplicialComplex:
     """
     if ideal.is_unit:
         raise ValueError("unit ideal has no Stanley-Reisner complex; faces would be empty")
-    n = ideal.n
-    if n > MATERIALIZE_BITS:
-        raise CapExceededError(f"2^{n} sweep refused; n must be <= {MATERIALIZE_BITS}")
-    facets = []
-    for m in range(1 << n):
-        if ideal.contains_mask(m):
-            continue
-        if all(ideal.contains_mask(m | (1 << j)) for j in range(n) if not m >> j & 1):
-            facets.append(m)
-    return SimplicialComplex(n, tuple(IndexSet(n, m) for m in sorted(facets)))
+    return SimplicialComplex(ideal.n, tuple(IndexSet(ideal.n, m) for m in _sr_facet_masks(ideal)))
 
 
 def sr_ideal(cx: SimplicialComplex) -> SqIdeal:
@@ -335,5 +341,4 @@ def tilde(ideal: SqIdeal) -> SqIdeal:
     if ideal.is_unit:
         raise ValueError("tilde of the unit ideal is undefined here; unit rejected as input")
     full = (1 << ideal.n) - 1
-    facets = sr_complex(ideal).facet_masks()
-    return SqIdeal(ideal.n, tuple(sorted(full ^ m for m in facets)))
+    return SqIdeal(ideal.n, tuple(full ^ m for m in reversed(_sr_facet_masks(ideal))))

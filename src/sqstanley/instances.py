@@ -63,13 +63,10 @@ def all_quotients(n: int) -> Iterator[SqQuotient]:
 
     Quadratic in the Dedekind count, so meant for small n only.
     """
-    ideals = []
-    for ideal in all_sq_ideals(n):
-        members = frozenset(m for m in range(1 << n) if ideal.contains_mask(m))
-        ideals.append((ideal, members))
-    for outer, om in ideals:
-        for inner, im in ideals:
-            if im < om:
+    ideals = [(ideal, ideal.member_word()) for ideal in all_sq_ideals(n)]
+    for outer, ow in ideals:
+        for inner, iw in ideals:
+            if iw != ow and iw & ~ow == 0:
                 yield SqQuotient(n, inner, outer)
 
 

@@ -6,6 +6,14 @@ sets is plain integer order on masks, and that is the iteration order
 used for every set-valued result in the package.  Every object carries
 its ambient n; binary operations across different n raise
 NMismatchError rather than guessing an embedding.
+
+A family of subsets of [n] is stored as one 2^n-bit int, its word: bit
+m is set when the set with mask m belongs to the family.  Closures and
+extremal members are then a handful of shift-or passes, one per
+element, instead of loops over the 2^n masks.  The up-closure is the
+superset zeta transform; a member of an order-convex family is maximal
+(minimal) exactly when no set one element larger (smaller) belongs to
+the family.
 """
 
 from __future__ import annotations
@@ -41,6 +49,69 @@ def submasks(mask: int) -> Iterator[int]:
         if s == mask:
             return
         s = (s - mask) & mask
+
+
+def family_word(masks: Iterable[int]) -> int:
+    """The word of the family with the given member masks."""
+    word = 0
+    for m in masks:
+        word |= 1 << m
+    return word
+
+
+def word_masks(word: int) -> tuple[int, ...]:
+    """The member masks of a family word, in increasing (colex) order."""
+    return tuple(m for m, bit in enumerate(format(word, "b")[::-1]) if bit == "1")
+
+
+def full_word(n: int) -> int:
+    """The word of the power set of [n]."""
+    return (1 << (1 << n)) - 1
+
+
+def complement_family(word: int, n: int) -> int:
+    """The complements of the members.  Complementing maps bit m to bit
+    2^n - 1 - m, so this reverses the word."""
+    return int(format(word, f"0{1 << n}b")[::-1], 2)
+
+
+def _element_steps(n: int) -> Iterator[tuple[int, int]]:
+    """For each bit j < n: the shift 2^j that sets it in a mask, and the
+    word of the masks lacking it."""
+    full = full_word(n)
+    for j in range(n):
+        step = 1 << j
+        yield step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1)
+
+
+def up_closure(word: int, n: int) -> int:
+    """Every superset of a member: the superset zeta transform."""
+    for step, lacking in _element_steps(n):
+        word |= (word & lacking) << step
+    return word
+
+
+def down_closure(word: int, n: int) -> int:
+    """Every subset of a member: the subset zeta transform."""
+    for step, lacking in _element_steps(n):
+        word |= (word >> step) & lacking
+    return word
+
+
+def one_smaller(word: int, n: int) -> int:
+    """The sets one element smaller than some member."""
+    out = 0
+    for step, lacking in _element_steps(n):
+        out |= (word >> step) & lacking
+    return out
+
+
+def one_larger(word: int, n: int) -> int:
+    """The sets one element larger than some member."""
+    out = 0
+    for step, lacking in _element_steps(n):
+        out |= (word & lacking) << step
+    return out
 
 
 @total_ordering
@@ -227,10 +298,6 @@ class SimplicialComplex:
         maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
         return cls(n, tuple(IndexSet(n, m) for m in sorted(maximal)))
 
-    @classmethod
-    def from_faces(cls, n: int, faces: Iterable[IndexSet | Iterable[int]]) -> "SimplicialComplex":
-        return cls.from_facets(n, faces)
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -262,28 +329,14 @@ class SimplicialComplex:
 def minimal_nonface_masks(cx: SimplicialComplex) -> tuple[int, ...]:
     """Masks of the minimal non-faces of cx, colex order.
 
-    Full 2^n sweep: a mask is a minimal non-face when it is not a face
-    but every one-element-smaller subset is.  For the void complex the
-    empty set is the unique minimal non-face.
+    The non-faces are the complement of the down-closure of the facets;
+    a non-face is minimal when no set one element smaller is a non-face.
+    For the void complex the empty set is the unique minimal non-face.
     """
     if cx.n > MATERIALIZE_BITS:
         raise CapExceededError(f"2^{cx.n} sweep refused; n must be <= {MATERIALIZE_BITS}")
-    faces = set(cx.face_masks())
-    out = []
-    for m in range(1 << cx.n):
-        if m in faces:
-            continue
-        sub = m
-        ok = True
-        while sub:
-            low = sub & -sub
-            if (m ^ low) not in faces:
-                ok = False
-                break
-            sub ^= low
-        if ok:
-            out.append(m)
-    return tuple(out)
+    nonfaces = full_word(cx.n) & ~down_closure(family_word(cx.facet_masks()), cx.n)
+    return word_masks(nonfaces & ~one_larger(nonfaces, cx.n))
 
 
 def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:

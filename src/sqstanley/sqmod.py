@@ -7,6 +7,11 @@ family of sets F with x_F in the outer ideal but not the inner one.
 The support is order convex in the Boolean lattice, and conversely any
 order-convex family arises this way from a unique minimal pair.
 
+Each quotient computes its support once, as a family word (see
+setcalc): the up-closure of the outer generators minus that of the
+inner ones.  Facets, minimal members, the dual check and the minimal
+presentation of a given family are all read off that word.
+
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
 divisibility-minimal monomial of the set difference is squarefree and
@@ -20,6 +25,7 @@ pattern in sight.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cover import first_interval_partition
 from .errors import (
@@ -30,7 +36,17 @@ from .errors import (
     ZeroModuleError,
 )
 from .ideals import Monomial, MonomialIdeal, SqIdeal, tilde
-from .setcalc import MATERIALIZE_BITS, IndexSet, Interval
+from .setcalc import (
+    MATERIALIZE_BITS,
+    IndexSet,
+    Interval,
+    complement_family,
+    family_word,
+    one_larger,
+    one_smaller,
+    up_closure,
+    word_masks,
+)
 
 # Refuse exponent-box sweeps with more points than this.
 BOX_LIMIT = 1 << 20
@@ -71,24 +87,21 @@ class SqQuotient:
         for m in family:
             if not 0 <= m < (1 << n):
                 raise ValueError(f"mask {m} out of range for n={n}")
-        outer = SqIdeal.of(n, family)
-        gap = [m for m in range(1 << n)
-               if outer.contains_mask(m) and m not in family]
-        gapset = set(gap)
-        for m in gap:
-            for j in range(n):
-                above = m | (1 << j)
-                if above != m and above in family:
-                    below = next(c for c in sorted(family) if c & ~m == 0)
-                    raise ValueError(
-                        "support family is not order convex: "
-                        f"{IndexSet(n, below)} <= {IndexSet(n, m)} <= {IndexSet(n, above)} "
-                        "with the middle set missing")
-        inner_gens = [m for m in gap
-                      if all(m & ~(1 << j) not in gapset
-                             for j in range(n) if m >> j & 1)]
-        built = cls(n, SqIdeal.of(n, inner_gens), outer)
-        if set(built.support_masks()) != family:
+        word = family_word(family)
+        gap = up_closure(word, n) & ~word
+        # the family is convex exactly when no gap set lies one step below it
+        bad = gap & one_smaller(word, n)
+        if bad:
+            m = (bad & -bad).bit_length() - 1
+            above = next(m | 1 << j for j in range(n) if word >> (m | 1 << j) & 1)
+            below = next(c for c in sorted(family) if c & ~m == 0)
+            raise ValueError(
+                "support family is not order convex: "
+                f"{IndexSet(n, below)} <= {IndexSet(n, m)} <= {IndexSet(n, above)} "
+                "with the middle set missing")
+        inner_gens = word_masks(gap & ~one_larger(gap, n))
+        built = cls(n, SqIdeal(n, inner_gens), SqIdeal.of(n, family))
+        if built.support_word != word:
             raise InternalCheckError("rebuilt support disagrees with the input family")
         return built
 
@@ -96,25 +109,32 @@ class SqQuotient:
     def is_zero(self) -> bool:
         return self.inner == self.outer
 
+    @cached_property
+    def support_word(self) -> int:
+        """The support as a family word, computed once per instance."""
+        return self.outer.member_word() & ~self.inner.member_word()
+
+    @cached_property
+    def _support_masks(self) -> tuple[int, ...]:
+        return word_masks(self.support_word)
+
     def support_masks(self) -> tuple[int, ...]:
-        if self.n > MATERIALIZE_BITS:
-            raise CapExceededError(f"2^{self.n} sweep refused; n must be <= {MATERIALIZE_BITS}")
-        return tuple(m for m in range(1 << self.n)
-                     if self.outer.contains_mask(m) and not self.inner.contains_mask(m))
+        return self._support_masks
 
     def support(self) -> tuple[IndexSet, ...]:
         return tuple(IndexSet(self.n, m) for m in self.support_masks())
 
     def facet_masks(self) -> tuple[int, ...]:
-        """Maximal members of the support."""
-        supp = self.support_masks()
-        return tuple(m for m in supp
-                     if not any(s != m and s & m == m for s in supp))
+        """Maximal members of the support: those with no member one
+        element larger, the support being order convex."""
+        below = one_smaller(self.support_word, self.n)
+        return tuple(m for m in self.support_masks() if not below >> m & 1)
 
     def minimal_masks(self) -> tuple[int, ...]:
-        supp = self.support_masks()
-        return tuple(m for m in supp
-                     if not any(s != m and s & m == s for s in supp))
+        """Minimal members of the support: those with no member one
+        element smaller."""
+        above = one_larger(self.support_word, self.n)
+        return tuple(m for m in self.support_masks() if not above >> m & 1)
 
     def same_module(self, other: "SqQuotient") -> bool:
         if other.n != self.n:
@@ -234,9 +254,7 @@ def dualize_quotient(module: SqQuotient) -> SqQuotient:
     setwise, of the original support; that is checked on every call.
     """
     dual = SqQuotient(module.n, tilde_ext(module.outer), tilde_ext(module.inner))
-    full = (1 << module.n) - 1
-    want = sorted(full ^ m for m in module.support_masks())
-    if list(dual.support_masks()) != want:
+    if dual.support_word != complement_family(module.support_word, module.n):
         raise InternalCheckError("dual support is not the complement of the original support")
     return dual
 
@@ -385,15 +403,19 @@ def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
         raise ZeroModuleError("the zero module has no Stanley depth")
     lo = 0
     hi = min(m.bit_count() for m in module.facet_masks())
+    witness = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _cover_min_top(module, mid) is not None:
-            lo = mid
+        found = _cover_min_top(module, mid)
+        if found is not None:
+            lo, witness = mid, found
         else:
             hi = mid - 1
-    witness = _cover_min_top(module, lo)
     if witness is None:
-        raise InternalCheckError("feasibility vanished at the optimum")
+        # no probe succeeded, so lo is still 0 and was never probed
+        witness = _cover_min_top(module, lo)
+        if witness is None:
+            raise InternalCheckError("feasibility vanished at the optimum")
     return lo, _as_decomposition(module, witness)
 
 
@@ -407,13 +429,17 @@ def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
         raise ZeroModuleError("the zero module has no decompositions")
     lo = max(m.bit_count() for m in module.minimal_masks())
     hi = module.n
+    witness = None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cover_max_bottom(module, mid) is not None:
-            hi = mid
+        found = _cover_max_bottom(module, mid)
+        if found is not None:
+            hi, witness = mid, found
         else:
             lo = mid + 1
-    witness = _cover_max_bottom(module, lo)
     if witness is None:
-        raise InternalCheckError("feasibility vanished at the optimum")
+        # no probe succeeded, so lo == hi == n was never probed
+        witness = _cover_max_bottom(module, lo)
+        if witness is None:
+            raise InternalCheckError("feasibility vanished at the optimum")
     return lo, _as_decomposition(module, witness)
