@@ -9,13 +9,29 @@ Its bottom lies below that set, belongs to the family, and is still
 uncovered, so it sorts no later; minimality forces equality.  Bottoms
 are therefore never guessed, only tops, and each partition is reachable
 along exactly one search path.
+
+The search state is the uncovered part of the support as a family word
+(see setcalc): the forced bottom is its lowest set bit, an interval
+fits when its word lies inside the state, and placing it is one xor.
+Exhausted states are memoized by their word.
 """
 
-from .setcalc import submasks
+from .errors import CapExceededError
+
+
+def _interval_word(bottom: int, top: int) -> int:
+    """The word of the interval [bottom, top]: one shift-or per free element."""
+    word = 1 << bottom
+    free = top & ~bottom
+    while free:
+        low = free & -free
+        word |= word << low
+        free ^= low
+    return word
 
 
 def first_interval_partition(support, tops_for):
-    """Partition the support (an iterable of masks) into intervals.
+    """Partition the support (a family word) into intervals.
 
     tops_for(bottom) supplies candidate top masks in the order they
     should be tried; candidates that miss the bottom or whose interval
@@ -23,39 +39,44 @@ def first_interval_partition(support, tops_for):
     only encode their own constraints (size gates, membership gates).
     Returns the first partition found as a list of (bottom, top) mask
     pairs in discovery order, or None when no partition exists.
-    Exhausted states are memoized by their uncovered set so the search
-    never re-enters a subtree known to fail.
+    Exhausted states are memoized so the search never re-enters a
+    subtree known to fail.  A search deeper than the interpreter's
+    recursion limit raises CapExceededError.
     """
-    uncovered = set(support)
     dead = set()
     chosen = []
+    intervals = {}
 
-    def extend():
+    def extend(uncovered):
         if not uncovered:
             return True
-        state = frozenset(uncovered)
-        if state in dead:
+        if uncovered in dead:
             return False
-        bottom = min(uncovered)
+        bottom = (uncovered & -uncovered).bit_length() - 1
         for top in tops_for(bottom):
             if bottom & ~top:
                 continue
-            members = [bottom | s for s in submasks(top & ~bottom)]
-            if any(m not in uncovered for m in members):
+            key = (bottom, top)
+            iv = intervals.get(key)
+            if iv is None:
+                iv = intervals[key] = _interval_word(bottom, top)
+            if iv & ~uncovered:
                 continue
-            uncovered.difference_update(members)
-            chosen.append((bottom, top))
-            if extend():
+            chosen.append(key)
+            if extend(uncovered ^ iv):
                 return True
             chosen.pop()
-            uncovered.update(members)
-        dead.add(state)
+        dead.add(uncovered)
         return False
 
     try:
-        if extend():
+        if extend(support):
             return chosen
         return None
+    except RecursionError:
+        raise CapExceededError(
+            "interval cover search too deep: recursion limit reached "
+            f"after choosing {len(chosen)} intervals") from None
     finally:
         # extend's closure refers to extend itself; break that cycle so
         # the memo is freed on return, not at the next collection

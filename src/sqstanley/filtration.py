@@ -77,11 +77,6 @@ class PrimeFiltration:
         return "[" + ", ".join(str(s) for s in self.steps) + "]"
 
 
-def _sq_colon(ideal: SqIdeal, mask: int) -> SqIdeal:
-    # (I : x_G) for squarefree I is again squarefree, gens x_(H minus G)
-    return SqIdeal.of(ideal.n, [h & ~mask for h in ideal.gen_masks])
-
-
 def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
     """Whether the filtration presents the module, step quotients included.
 
@@ -89,18 +84,26 @@ def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
     exactly the claimed prime, and that the chain ends at the outer
     ideal.  The step quotients then have the stated form, one support
     member per interval of the chain.
+
+    For any generating set of the current ideal, (cur : x_G) is
+    generated by the sets H minus G, so it equals P_F exactly when each
+    of those meets F and each j in F is one of them.  The chain is kept
+    as its growing, unminimized generator list.
     """
     if module.n != filt.n:
         raise NMismatchError(f"filtration over n={filt.n} for module over n={module.n}")
     if filt.base != module.inner:
         return False
-    cur = filt.base
+    gens = list(filt.base.gen_masks)
     for s in filt.steps:
-        prime = SqIdeal.of(filt.n, [1 << (j - 1) for j in s.prime.members])
-        if _sq_colon(cur, s.degree.mask) != prime:
+        g, f = s.degree.mask, s.prime.mask
+        colon = {h & ~g for h in gens}
+        if any(not c & f for c in colon):
             return False
-        cur = SqIdeal.of(filt.n, cur.gen_masks + (s.degree.mask,))
-    return cur == module.outer
+        if any(1 << j not in colon for j in range(filt.n) if f >> j & 1):
+            return False
+        gens.append(g)
+    return filt.final_ideal() == module.outer
 
 
 def facet_peel_filtration(module: SqQuotient) -> PrimeFiltration:
@@ -132,10 +135,11 @@ def dualize_filtration(filt: PrimeFiltration) -> PrimeFiltration:
     after dualizing, to adjoining x_F with colon P_G one level down the
     reversed chain.  That is checked here on every call.
     """
-    dual_base = tilde_ext(filt.final_ideal())
+    final = filt.final_ideal()
     dual_steps = tuple(FiltrationStep(s.prime, s.degree) for s in reversed(filt.steps))
-    dual = PrimeFiltration(filt.n, dual_base, dual_steps)
-    if not validate_filtration(dualize_quotient(filt.module()), dual):
+    dual = PrimeFiltration(filt.n, tilde_ext(final), dual_steps)
+    module = SqQuotient(filt.n, filt.base, final)
+    if not validate_filtration(dualize_quotient(module), dual):
         raise InternalCheckError("dualized filtration fails validation")
     return dual
 

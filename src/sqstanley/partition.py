@@ -43,7 +43,7 @@ def find_partition(cx: SimplicialComplex):
     def tops_for(bottom):
         return [f for f in facets if not bottom & ~f]
 
-    pairs = first_interval_partition(module.support_masks(), tops_for)
+    pairs = first_interval_partition(module.support_word, tops_for)
     if pairs is None:
         return None
     dec = StanleyDecomposition.of(
@@ -59,16 +59,15 @@ def is_partitionable(cx: SimplicialComplex) -> bool:
 
 def generator_bottom_decomposition(module: SqQuotient):
     """A decomposition whose bottoms are minimal support members, or None."""
-    supp = module.support_masks()
     gens = set(module.minimal_masks())
-    candidates = sorted(supp, key=lambda t: (-t.bit_count(), t))
+    candidates = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
 
     def tops_for(bottom):
         if bottom not in gens:
             return []
         return [t for t in candidates if not bottom & ~t]
 
-    pairs = first_interval_partition(supp, tops_for)
+    pairs = first_interval_partition(module.support_word, tops_for)
     if pairs is None:
         return None
     dec = StanleyDecomposition.of(

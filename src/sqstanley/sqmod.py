@@ -10,7 +10,8 @@ order-convex family arises this way from a unique minimal pair.
 Each quotient computes its support once, as a family word (see
 setcalc): the up-closure of the outer generators minus that of the
 inner ones.  Facets, minimal members, the dual check and the minimal
-presentation of a given family are all read off that word.
+presentation of a given family are all read off that word, and the
+cover searches for sdepth and hreg start from it.
 
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
@@ -346,14 +347,9 @@ def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
                 for iv in dec.intervals))
 
 
-def _search(module, tops_for):
-    supp = set(module.support_masks())
-    return first_interval_partition(supp, tops_for)
-
-
 def _cover_min_top(module, k):
     """A partition with every top of size at least k, if one exists."""
-    order = sorted(set(module.support_masks()), key=lambda t: (-t.bit_count(), t))
+    order = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
     cache = {}
 
     def tops_for(e):
@@ -363,7 +359,7 @@ def _cover_min_top(module, k):
             cache[e] = got
         return got
 
-    return _search(module, tops_for)
+    return first_interval_partition(module.support_word, tops_for)
 
 
 def _cover_max_bottom(module, h):
@@ -372,7 +368,7 @@ def _cover_max_bottom(module, h):
     Bottoms are forced by the search engine, so the gate is a refusal to
     extend any state whose forced bottom is too large.
     """
-    order = sorted(set(module.support_masks()), key=lambda t: (-t.bit_count(), t))
+    order = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
     cache = {}
 
     def tops_for(e):
@@ -384,7 +380,7 @@ def _cover_max_bottom(module, h):
             cache[e] = got
         return got
 
-    return _search(module, tops_for)
+    return first_interval_partition(module.support_word, tops_for)
 
 
 def _as_decomposition(module, pairs):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -321,6 +322,16 @@ class TestPlumbing:
         assert code == 4
         code, out, _ = run(capsys, "--cap-n", "13", "sdepth", path)
         assert code == 0
+
+    def test_too_deep_search(self, capsys, tmp_path):
+        # the face ring of the 5-skeleton needs one interval per facet,
+        # 1716 of them: deeper than the recursion limit
+        facets = [list(f) for f in itertools.combinations(range(1, 14), 6)]
+        path = write(tmp_path, "deep.json", {"n": 13, "complex": {"facets": facets}})
+        code, out, err = run(capsys, "--cap-n", "13", "sdepth", path)
+        assert code == 4
+        assert out == ""
+        assert "intervals" in err and "Traceback" not in err
 
     def test_timings_to_stderr(self, capsys, hypersurface):
         code, out, err = run(capsys, "--timings", "sdepth", hypersurface)

@@ -13,7 +13,7 @@ from sqstanley.filtration import (
 )
 from sqstanley.ideals import SqIdeal
 from sqstanley.setcalc import IndexSet
-from sqstanley.sqmod import SqQuotient, dualize_quotient, validate_decomposition
+from sqstanley.sqmod import SqQuotient, dualize_quotient, tilde_ext, validate_decomposition
 
 
 def ring_mod(ideal_masks, n):
@@ -91,6 +91,97 @@ class TestValidate:
     def test_step_degree_meeting_prime_rejected(self):
         with pytest.raises(ValueError):
             step(2, [1], [1, 2])
+
+
+def chain_validate(module, filt):
+    """The check as an explicit chain of ideals: the colon, the prime
+    and the next ideal built and compared at every step."""
+    if filt.base != module.inner:
+        return False
+    cur = filt.base
+    for s in filt.steps:
+        prime = SqIdeal.of(filt.n, [1 << (j - 1) for j in s.prime.members])
+        if SqIdeal.of(filt.n, [h & ~s.degree.mask for h in cur.gen_masks]) != prime:
+            return False
+        cur = SqIdeal.of(filt.n, cur.gen_masks + (s.degree.mask,))
+    return cur == module.outer
+
+
+def _perturbed(rng, filt):
+    """The filtration with one random defect: steps swapped or cut, a
+    prime or degree replaced, or a random step inserted."""
+    n, steps = filt.n, list(filt.steps)
+    kind = rng.randrange(5)
+    if kind == 0 and len(steps) > 1:
+        i, j = rng.sample(range(len(steps)), 2)
+        steps[i], steps[j] = steps[j], steps[i]
+    elif kind == 1 and steps:
+        del steps[rng.randrange(len(steps))]
+    elif kind in (2, 3) and steps:
+        i = rng.randrange(len(steps))
+        g, f = steps[i].degree.mask, steps[i].prime.mask
+        r = rng.randrange(1 << n)
+        g, f = (g, r & ~g) if kind == 2 else (r & ~f, f)
+        steps[i] = FiltrationStep(IndexSet(n, g), IndexSet(n, f))
+    else:
+        g = rng.randrange(1 << n)
+        f = rng.randrange(1 << n) & ~g
+        steps.insert(rng.randrange(len(steps) + 1),
+                     FiltrationStep(IndexSet(n, g), IndexSet(n, f)))
+    return PrimeFiltration(n, filt.base, tuple(steps))
+
+
+def _lifted(filt, n):
+    """The same generator and step masks over n variables.  Colons only
+    see the masks, so validity carries over."""
+    steps = tuple(FiltrationStep(IndexSet(n, s.degree.mask), IndexSet(n, s.prime.mask))
+                  for s in filt.steps)
+    return PrimeFiltration(n, SqIdeal(n, filt.base.gen_masks), steps)
+
+
+class TestAgainstIdealChain:
+    def test_valid_and_perturbed(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = _random_module(rng, n)
+            filt = facet_peel_filtration(m)
+            for cand in (filt, _perturbed(rng, filt), _perturbed(rng, _perturbed(rng, filt))):
+                want = chain_validate(m, cand)
+                assert validate_filtration(m, cand) == want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_beyond_the_word_cap(self):
+        # n = 24 > MATERIALIZE_BITS: the check never materializes a support
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(100):
+            small = facet_peel_filtration(_random_module(rng, rng.randint(1, 4)))
+            for cand in (small, _perturbed(rng, small)):
+                big = _perturbed(rng, _lifted(cand, 24)) if rng.random() < 0.3 \
+                    else _lifted(cand, 24)
+                m = SqQuotient(24, big.base, big.final_ideal())
+                want = chain_validate(m, big)
+                assert validate_filtration(m, big) == want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_dual_of_perturbed_filtrations(self):
+        rng = random.Random(20261020)
+        seen = set()
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            m = _random_module(rng, n)
+            filt = _perturbed(rng, facet_peel_filtration(m))
+            dual = PrimeFiltration(n, tilde_ext(filt.final_ideal()), tuple(
+                FiltrationStep(s.prime, s.degree) for s in reversed(filt.steps)))
+            dm = dualize_quotient(filt.module())
+            want = chain_validate(dm, dual)
+            assert validate_filtration(dm, dual) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestDualize:

@@ -5,7 +5,7 @@ import pytest
 from sqstanley.cover import first_interval_partition
 from sqstanley.errors import NonSquarefreeError, ZeroModuleError
 from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
-from sqstanley.setcalc import IndexSet, Interval
+from sqstanley.setcalc import IndexSet, Interval, family_word
 from sqstanley.sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -42,21 +42,21 @@ def max_ideal_mod(n):
 class TestCoverEngine:
     def test_single_interval_when_allowed(self):
         supp = set(range(4))
-        got = first_interval_partition(supp, lambda e: [3, 2, 1, 0])
+        got = first_interval_partition(family_word(supp), lambda e: [3, 2, 1, 0])
         assert got == [(0, 3)]
 
     def test_respects_candidate_gate(self):
         # only the facet {1,2} may be a top; {2} is then uncoverable
         supp = {0b00, 0b01, 0b11}
-        got = first_interval_partition(supp, lambda e: [0b11])
+        got = first_interval_partition(family_word(supp), lambda e: [0b11])
         assert got is None
 
     def test_empty_support(self):
-        assert first_interval_partition(set(), lambda e: []) == []
+        assert first_interval_partition(family_word(set()), lambda e: []) == []
 
     def test_deterministic(self):
         supp = {0, 1, 2, 3, 5, 7}
-        runs = [first_interval_partition(supp, lambda e: sorted(
+        runs = [first_interval_partition(family_word(supp), lambda e: sorted(
             (t for t in supp if t & e == e), key=lambda t: (-bin(t).count("1"), t)))
             for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
@@ -159,8 +159,9 @@ class TestSdepth:
             assert validate_decomposition(free_module(n), dec)
 
     def test_maximal_ideal_ceil_half(self):
-        # known value: the graded maximal ideal has Stanley depth ceil(n/2)
-        for n in range(1, 5):
+        # the graded maximal ideal has Stanley depth ceil(n/2)
+        # (Biro-Howard-Keller-Trotter-Young, JCTA 117, 2010)
+        for n in range(1, 7):
             k, dec = sdepth(max_ideal_mod(n))
             assert k == (n + 1) // 2
             assert validate_decomposition(max_ideal_mod(n), dec)
