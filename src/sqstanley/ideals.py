@@ -124,12 +124,19 @@ def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
     A divisor sorts weakly before its multiples under the canonical key
     (its support mask is a submask, hence numerically no larger), so one
-    forward pass keeping undominated elements suffices.
+    forward pass keeping undominated elements suffices, and `divides`
+    runs only on pairs whose support masks pass that submask test.
     """
     out: list[Monomial] = []
+    masks: list[int] = []
     for g in sorted(set(gens), key=Monomial.sort_key):
-        if not any(h.divides(g) for h in out):
+        if out:
+            # the mask test keeps divides from seeing every pair
+            _same_n(out[0], g)
+        gm = g.support_mask
+        if not any(hm & ~gm == 0 and h.divides(g) for h, hm in zip(out, masks)):
             out.append(g)
+            masks.append(gm)
     return tuple(out)
 
 

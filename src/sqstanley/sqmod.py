@@ -13,6 +13,11 @@ inner ones.  Facets, minimal members, the dual check and the minimal
 presentation of a given family are all read off that word, and the
 cover searches for sdepth and hreg start from it.
 
+sdepth and hreg_min walk from a bound read off the facets or minimal
+members toward the answer.  Before each search, the number of support
+members on each level must pass an exact counting test; a size it
+rules out has no partition, so its search is skipped.
+
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
 divisibility-minimal monomial of the set difference is squarefree and
@@ -387,32 +392,57 @@ def _as_decomposition(module, pairs):
     return StanleyDecomposition.from_masks(module.n, pairs)
 
 
+def _level_counts(module) -> list[int]:
+    """f[j] is the number of support members of size j, for j = 0..n."""
+    f = [0] * (module.n + 1)
+    for m in module.support_masks():
+        f[m.bit_count()] += 1
+    return f
+
+
+def _tops_can_reach(f, k) -> bool:
+    """Whether level counts f leave room for a partition with every top
+    of size at least k; False proves that no such partition exists.
+
+    In such a partition, levels 0..k split into intervals whose tops all
+    have size exactly k (Herzog-Vladoiu-Zheng), so with h_b of them
+    having a bottom of size b, f_j = sum_{b<=j} h_b C(k-b, j-b) for
+    j <= k.  The system is triangular: solve it from the bottom level
+    up and reject k at the first negative h_b (the h-vector test of
+    Ichim-Katthaen-Moyano-Fernandez).  k = 0 always passes.  The counts
+    of the dual support are f reversed, so the same solve at n - h tests
+    bottoms of size at most h.
+    """
+    h = []
+    for j in range(k + 1):
+        hj = f[j] - sum(hb * math.comb(k - b, j - b) for b, hb in enumerate(h))
+        if hj < 0:
+            return False
+        h.append(hj)
+    return True
+
+
 def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
     """The Stanley depth of the module and a witnessing decomposition.
 
     Interval partitions of the support realize the Stanley depth
-    exactly, so this is a finite search: binary search on the smallest
-    top size, bounded above by the smallest facet of the support (a
-    maximal support member can only be the top of its own interval).
+    exactly, so this is a finite search.  The smallest facet of the
+    support bounds it above (a maximal support member can only be the
+    top of its own interval).  Walking down from that bound, each size
+    the level counts rule out is skipped, and the first size whose
+    search succeeds is the Stanley depth; that search's partition is
+    the witness.  The test never rules out size 0 (singletons).
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no Stanley depth")
-    lo = 0
-    hi = min(m.bit_count() for m in module.facet_masks())
-    witness = None
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = _cover_min_top(module, mid)
+    f = _level_counts(module)
+    for k in range(min(m.bit_count() for m in module.facet_masks()), -1, -1):
+        if not _tops_can_reach(f, k):
+            continue
+        found = _cover_min_top(module, k)
         if found is not None:
-            lo, witness = mid, found
-        else:
-            hi = mid - 1
-    if witness is None:
-        # no probe succeeded, so lo is still 0 and was never probed
-        witness = _cover_min_top(module, lo)
-        if witness is None:
-            raise InternalCheckError("feasibility vanished at the optimum")
-    return lo, _as_decomposition(module, witness)
+            return k, _as_decomposition(module, found)
+    raise InternalCheckError("no partition even into singletons")
 
 
 def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
@@ -420,22 +450,20 @@ def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
 
     Minimal support members are bottoms in every partition, so their
     largest size is a lower bound; singleton intervals realize n.
+    Walking up from the bound, each size the reversed level counts rule
+    out is skipped, and the first size whose search succeeds is the
+    answer, with that search's partition as the witness; size n
+    (singletons) is never ruled out.  The search runs on the module
+    itself, never taken from the dual's sdepth.
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no decompositions")
-    lo = max(m.bit_count() for m in module.minimal_masks())
-    hi = module.n
-    witness = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = _cover_max_bottom(module, mid)
+    n = module.n
+    f = _level_counts(module)[::-1]
+    for h in range(max(m.bit_count() for m in module.minimal_masks()), n + 1):
+        if not _tops_can_reach(f, n - h):
+            continue
+        found = _cover_max_bottom(module, h)
         if found is not None:
-            hi, witness = mid, found
-        else:
-            lo = mid + 1
-    if witness is None:
-        # no probe succeeded, so lo == hi == n was never probed
-        witness = _cover_max_bottom(module, lo)
-        if witness is None:
-            raise InternalCheckError("feasibility vanished at the optimum")
-    return lo, _as_decomposition(module, witness)
+            return h, _as_decomposition(module, found)
+    raise InternalCheckError("no partition even into singletons")

@@ -246,10 +246,11 @@ def probe_count(monkeypatch):
 
 
 @pytest.mark.parametrize("search, probe, module, value, probes", [
-    # m at n=4: sdepth probes 2 (feasible) then 3; hreg_min probes 2 then 1, both feasible
-    (sdepth, sqmod._cover_min_top, max_ideal_mod(4), 2, 2),
-    (hreg_min, sqmod._cover_max_bottom, max_ideal_mod(4), 1, 2),
-    # the optimum is never probed: support {0} for sdepth, {[n]} for hreg_min
+    # m at n=4: the level counts rule out sdepth 4 and 3, so the one probe
+    # is at 2; hreg_min's bound 1 is feasible at once
+    (sdepth, sqmod._cover_min_top, max_ideal_mod(4), 2, 1),
+    (hreg_min, sqmod._cover_max_bottom, max_ideal_mod(4), 1, 1),
+    # the bound is the answer: support {0} for sdepth, {[n]} for hreg_min
     (sdepth, sqmod._cover_min_top, SqQuotient.from_support(4, [0]), 0, 1),
     (hreg_min, sqmod._cover_max_bottom, SqQuotient.from_support(4, [15]), 4, 1),
 ])

@@ -67,6 +67,32 @@ class TestMinimalize:
         once = minimalize(gens)
         assert minimalize(once) == once
 
+    def test_matches_pairwise_reference(self):
+        # the forward pass calling divides on every kept element, as it
+        # stood before the support-mask prefilter
+        def reference(gens):
+            out = []
+            for g in sorted(set(gens), key=Monomial.sort_key):
+                if not any(h.divides(g) for h in out):
+                    out.append(g)
+            return tuple(out)
+
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            top = rng.choice((1, 1, 3))
+            gens = [Monomial(tuple(rng.randint(0, top) for _ in range(n)))
+                    for _ in range(rng.randint(0, 12))]
+            got = minimalize(gens)
+            assert got == reference(gens)
+            assert minimalize(got) == got
+            # a monomial over another n anywhere in the list is refused
+            odd = Monomial(tuple(rng.randint(0, top) for _ in range(n + 1)))
+            if gens:
+                at = rng.randint(0, len(gens))
+                with pytest.raises(NMismatchError):
+                    minimalize(gens[:at] + [odd] + gens[at:])
+
 
 class TestMonomialIdeal:
     def test_membership(self):
