@@ -20,6 +20,7 @@ clean.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -54,9 +55,9 @@ from .formats import (
 from .homology import DEFAULT_CHAR, invariants
 from .ideals import MonomialIdeal, SqIdeal, tilde
 from .linquot import linear_quotients_order, lq_decomposition
-from .partition import face_ring, find_partition, partition_duality_check
+from .partition import face_ring, partition_duality_check
 from .setcalc import IndexSet, SimplicialComplex, alexander_dual
-from .sqmod import SqQuotient, build_quotient, dualize_quotient, hreg_min, sdepth
+from .sqmod import SqQuotient, _sdepth_walk, build_quotient, dualize_quotient, hreg_min, sdepth
 from .survey import EXHAUSTIVE_CAP, counterexamples, survey_exhaustive, survey_random
 
 DEFAULT_CAP_N = 12
@@ -159,7 +160,7 @@ def cmd_hreg(args):
     module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
     start = time.perf_counter()
     value, dec = hreg_min(module)
-    via_dual, _ = sdepth(dualize_quotient(module))
+    via_dual, _ = _sdepth_walk(dualize_quotient(module))
     args.timer.note("hreg search", start)
     from_dual = module.n - via_dual
     rows = [{"n": module.n, "hreg_min": value, "hreg_dual": from_dual}]
@@ -315,16 +316,33 @@ def cmd_partition(args):
            "dual_generator_bottoms": rec.dual_generator_bottoms,
            "ok": rec.ok}
     payload = dict(row)
-    partition = find_partition(parsed)
-    payload["partition"] = to_jsonable(partition) if partition else None
+    payload["partition"] = to_jsonable(rec.partition) if rec.partition else None
     _emit_rows(args, [row], payload)
     return 0
 
 
+def _survey_cap(args):
+    """The survey's cap on n, once every argument is in range; nothing
+    runs before this check."""
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
+    if args.count is not None and args.count < 0:
+        raise UsageError(f"--count must be at least 0, got {args.count}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+    if args.cap_n is not None:
+        return args.cap_n
+    return EXHAUSTIVE_CAP if args.count is None else DEFAULT_CAP_N
+
+
 def cmd_survey(args):
+    cap = _survey_cap(args)
+    if args.count is not None and args.n > cap:
+        raise CapExceededError(f"random survey at n={args.n}, above the cap {cap}; "
+                               "raise --cap-n knowingly")
     start = time.perf_counter()
     if args.count is None:
-        cap = args.cap_n if args.cap_n is not None else EXHAUSTIVE_CAP
         records = survey_exhaustive(args.n, char=args.char, cap=cap,
                                     jobs=args.jobs)
         mode = "exhaustive"
@@ -407,7 +425,8 @@ def _build_parser():
                     help="random sample size; omit for the exhaustive sweep")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default sequential)")
+                    help="worker processes, at most the CPU count "
+                         "(default sequential)")
     sp.set_defaults(fn=cmd_survey)
     return p
 

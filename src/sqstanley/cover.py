@@ -8,7 +8,8 @@ the numerically smallest uncovered set must start exactly at that set.
 Its bottom lies below that set, belongs to the family, and is still
 uncovered, so it sorts no later; minimality forces equality.  Bottoms
 are therefore never guessed, only tops, and each partition is reachable
-along exactly one search path.
+along exactly one search path.  The search has one caller, the gate
+helper in sqmod, through which every consumer runs.
 
 The search state is the uncovered part of the support as a family word
 (see setcalc): the forced bottom is its lowest set bit, an interval

@@ -18,7 +18,7 @@ decompositions and modules dualize with explicit signs.
 from dataclasses import dataclass
 
 from .errors import NMismatchError
-from .setcalc import IndexSet, Interval, sigma_masks, submasks
+from .setcalc import IndexSet, Interval, sigma_masks
 from .sqmod import SqQuotient, StanleyDecomposition, dualize_quotient
 
 
@@ -271,9 +271,6 @@ class EPiece:
     @property
     def n(self) -> int:
         return self.start.n
-
-    def degree_masks(self) -> tuple[int, ...]:
-        return tuple(self.start.mask | s for s in submasks(self.free.mask))
 
     def __str__(self) -> str:
         return f"({self.start}, {self.free})"

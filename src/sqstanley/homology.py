@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ZeroModuleError
 from .ideals import SqIdeal, sr_ideal, tilde
 from .setcalc import IndexSet, SimplicialComplex, submasks
-from .sqmod import SqQuotient, dualize_quotient, hreg_min, sdepth
+from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
 
 DEFAULT_CHAR = 32003
 
@@ -267,9 +267,9 @@ class DepthDualityRecord:
 def depth_duality_check(module: SqQuotient, char: int = DEFAULT_CHAR) -> DepthDualityRecord:
     if module.is_zero:
         raise ZeroModuleError("the zero module has no depth duality record")
-    s, _ = sdepth(module)
+    s, _ = _sdepth_walk(module)
     dual = dualize_quotient(module)
-    h, _ = hreg_min(dual)
+    h, _ = _hreg_walk(dual)
     return DepthDualityRecord(
         n=module.n,
         sdepth=s,

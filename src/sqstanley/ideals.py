@@ -92,10 +92,6 @@ class Monomial:
         _same_n(self, other)
         return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _same_n(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def quotient_by(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other); the colon generator contributed by self."""
         _same_n(self, other)
@@ -203,10 +199,6 @@ class MonomialIdeal:
         Only squarefree generators can divide a squarefree monomial.
         """
         return any(g.is_squarefree and g.support_mask & ~mask == 0 for g in self.gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        _same_n(self, other)
-        return all(g in self for g in other.gens)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _same_n(self, other)

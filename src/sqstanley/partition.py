@@ -16,13 +16,13 @@ transforming the primal answer.
 
 from dataclasses import dataclass
 
-from .cover import first_interval_partition
 from .errors import InternalCheckError
 from .homology import DEFAULT_CHAR, invariants
-from .setcalc import Interval, IndexSet, SimplicialComplex
+from .setcalc import SimplicialComplex
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
+    _cover,
     dualize_decomposition,
     dualize_quotient,
     validate_decomposition,
@@ -34,23 +34,22 @@ def face_ring(cx: SimplicialComplex) -> SqQuotient:
     return SqQuotient.from_support(cx.n, cx.face_masks())
 
 
+def _checked(module, pairs, what):
+    """The cover's pairs as a decomposition of the module, checked to
+    partition its support; None stays None."""
+    if pairs is None:
+        return None
+    dec = StanleyDecomposition.from_masks(module.n, pairs)
+    if not validate_decomposition(module, dec):
+        raise InternalCheckError(f"{what} cover is not a partition")
+    return dec
+
+
 def find_partition(cx: SimplicialComplex):
     """A partition of the complex with facet tops, as a Stanley
     decomposition of its face ring, or None."""
     module = face_ring(cx)
-    facets = sorted(cx.facet_masks(), key=lambda f: (-f.bit_count(), f))
-
-    def tops_for(bottom):
-        return [f for f in facets if not bottom & ~f]
-
-    pairs = first_interval_partition(module.support_word, tops_for)
-    if pairs is None:
-        return None
-    dec = StanleyDecomposition.of(
-        cx.n, [Interval(IndexSet(cx.n, b), IndexSet(cx.n, t)) for b, t in pairs])
-    if not validate_decomposition(module, dec):
-        raise InternalCheckError("facet-top cover is not a partition")
-    return dec
+    return _checked(module, _cover(module, cx.facet_masks()), "facet-top")
 
 
 def is_partitionable(cx: SimplicialComplex) -> bool:
@@ -60,32 +59,23 @@ def is_partitionable(cx: SimplicialComplex) -> bool:
 def generator_bottom_decomposition(module: SqQuotient):
     """A decomposition whose bottoms are minimal support members, or None."""
     gens = set(module.minimal_masks())
-    candidates = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
-
-    def tops_for(bottom):
-        if bottom not in gens:
-            return []
-        return [t for t in candidates if not bottom & ~t]
-
-    pairs = first_interval_partition(module.support_word, tops_for)
-    if pairs is None:
-        return None
-    dec = StanleyDecomposition.of(
-        module.n,
-        [Interval(IndexSet(module.n, b), IndexSet(module.n, t)) for b, t in pairs])
-    if not validate_decomposition(module, dec):
-        raise InternalCheckError("generator-bottom cover is not a partition")
-    return dec
+    return _checked(module, _cover(module, module.support_masks(), gens.__contains__),
+                    "generator-bottom")
 
 
 @dataclass(frozen=True)
 class PartitionabilityRecord:
-    """Both sides of the partitionability duality, plus CM for context."""
+    """Both sides of the partitionability duality, plus CM for context;
+    partition is the one the check found, or None."""
 
     n: int
     cohen_macaulay: bool
-    partitionable: bool
+    partition: StanleyDecomposition | None
     dual_generator_bottoms: bool
+
+    @property
+    def partitionable(self) -> bool:
+        return self.partition is not None
 
     @property
     def ok(self) -> bool:
@@ -115,6 +105,6 @@ def partition_duality_check(cx: SimplicialComplex,
     return PartitionabilityRecord(
         n=cx.n,
         cohen_macaulay=invariants(module, char).cohen_macaulay,
-        partitionable=partition is not None,
+        partition=partition,
         dual_generator_bottoms=generator_bottom_decomposition(dual) is not None,
     )

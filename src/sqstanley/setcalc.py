@@ -179,9 +179,6 @@ class IndexSet:
         _same_n(self, other)
         return self.mask & ~other.mask == 0
 
-    def issuperset(self, other: "IndexSet") -> bool:
-        return other.issubset(self)
-
     def isdisjoint(self, other: "IndexSet") -> bool:
         _same_n(self, other)
         return self.mask & other.mask == 0

@@ -16,7 +16,9 @@ cover searches for sdepth and hreg start from it.
 sdepth and hreg_min walk from a bound read off the facets or minimal
 members toward the answer.  Before each search, the number of support
 members on each level must pass an exact counting test; a size it
-rules out has no partition, so its search is skipped.
+rules out has no partition, so its search is skipped.  Every cover
+search, partition's included, is a gate over one helper, `_cover`, and
+only the public sdepth and hreg_min turn its pairs into a witness.
 
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
@@ -141,11 +143,6 @@ class SqQuotient:
         element smaller."""
         above = one_larger(self.support_word, self.n)
         return tuple(m for m in self.support_masks() if not above >> m & 1)
-
-    def same_module(self, other: "SqQuotient") -> bool:
-        if other.n != self.n:
-            raise NMismatchError(f"quotient over n={other.n} compared at n={self.n}")
-        return self.support_masks() == other.support_masks()
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
@@ -352,44 +349,35 @@ def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
                 for iv in dec.intervals))
 
 
-def _cover_min_top(module, k):
-    """A partition with every top of size at least k, if one exists."""
-    order = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
+def _cover(module, tops, bottom_ok=None):
+    """The first partition of the support with every top in `tops` and
+    every bottom passing bottom_ok, as (bottom, top) mask pairs, or None.
+
+    Tops are tried largest first, then by mask.  A bottom's candidate
+    list (empty when bottom_ok refuses it) is built on its first visit
+    and reused, so each search node costs one dict lookup.
+    """
+    order = sorted(tops, key=lambda t: (-t.bit_count(), t))
     cache = {}
 
     def tops_for(e):
         got = cache.get(e)
         if got is None:
-            got = [t for t in order if t & e == e and t.bit_count() >= k]
-            cache[e] = got
+            got = cache[e] = ([t for t in order if t & e == e]
+                              if bottom_ok is None or bottom_ok(e) else ())
         return got
 
     return first_interval_partition(module.support_word, tops_for)
+
+
+def _cover_min_top(module, k):
+    """A partition with every top of size at least k, if one exists."""
+    return _cover(module, [t for t in module.support_masks() if t.bit_count() >= k])
 
 
 def _cover_max_bottom(module, h):
-    """A partition with every bottom of size at most h, if one exists.
-
-    Bottoms are forced by the search engine, so the gate is a refusal to
-    extend any state whose forced bottom is too large.
-    """
-    order = sorted(module.support_masks(), key=lambda t: (-t.bit_count(), t))
-    cache = {}
-
-    def tops_for(e):
-        if e.bit_count() > h:
-            return ()
-        got = cache.get(e)
-        if got is None:
-            got = [t for t in order if t & e == e]
-            cache[e] = got
-        return got
-
-    return first_interval_partition(module.support_word, tops_for)
-
-
-def _as_decomposition(module, pairs):
-    return StanleyDecomposition.from_masks(module.n, pairs)
+    """A partition with every bottom of size at most h, if one exists."""
+    return _cover(module, module.support_masks(), lambda e: e.bit_count() <= h)
 
 
 def _level_counts(module) -> list[int]:
@@ -422,8 +410,8 @@ def _tops_can_reach(f, k) -> bool:
     return True
 
 
-def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
-    """The Stanley depth of the module and a witnessing decomposition.
+def _sdepth_walk(module: SqQuotient) -> tuple[int, list]:
+    """The Stanley depth, with a witness as (bottom, top) mask pairs.
 
     Interval partitions of the support realize the Stanley depth
     exactly, so this is a finite search.  The smallest facet of the
@@ -441,12 +429,12 @@ def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
             continue
         found = _cover_min_top(module, k)
         if found is not None:
-            return k, _as_decomposition(module, found)
+            return k, found
     raise InternalCheckError("no partition even into singletons")
 
 
-def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
-    """The smallest achievable hreg over all decompositions, with witness.
+def _hreg_walk(module: SqQuotient) -> tuple[int, list]:
+    """The smallest achievable hreg, with a witness as mask pairs.
 
     Minimal support members are bottoms in every partition, so their
     largest size is a lower bound; singleton intervals realize n.
@@ -465,5 +453,17 @@ def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
             continue
         found = _cover_max_bottom(module, h)
         if found is not None:
-            return h, _as_decomposition(module, found)
+            return h, found
     raise InternalCheckError("no partition even into singletons")
+
+
+def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
+    """The Stanley depth of the module and a witnessing decomposition."""
+    k, pairs = _sdepth_walk(module)
+    return k, StanleyDecomposition.from_masks(module.n, pairs)
+
+
+def hreg_min(module: SqQuotient) -> tuple[int, StanleyDecomposition]:
+    """The smallest achievable hreg over all decompositions, with witness."""
+    h, pairs = _hreg_walk(module)
+    return h, StanleyDecomposition.from_masks(module.n, pairs)

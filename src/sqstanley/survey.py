@@ -20,11 +20,11 @@ from multiprocessing import Pool
 from random import Random
 
 from .errors import CapExceededError, TheoremViolationError
-from .homology import DEFAULT_CHAR, betti
+from .homology import DEFAULT_CHAR, betti, invariants
 from .ideals import SqIdeal
 from .instances import all_quotients, random_quotient
 from .setcalc import IndexSet
-from .sqmod import SqQuotient, dualize_quotient, hreg_min, sdepth
+from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
 
 EXHAUSTIVE_CAP = 4
 
@@ -80,25 +80,24 @@ def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
     regularity; either failing is a defect, not a discovery.
     """
     n = module.n
-    s, _ = sdepth(module)
-    h, _ = hreg_min(module)
+    s, _ = _sdepth_walk(module)
+    h, _ = _hreg_walk(module)
     dual = dualize_quotient(module)
-    dual_s, _ = sdepth(dual)
-    table = betti(module, char)
+    dual_s, _ = _sdepth_walk(dual)
+    inv = invariants(module, char)
     dual_table = betti(dual, char)
-    dim = max(m.bit_count() for m in module.facet_masks())
     rec = SurveyRecord(
         n=n,
         inner=module.inner.gen_masks,
         outer=module.outer.gen_masks,
         sdepth=s,
-        depth=n - table.projdim,
+        depth=inv.depth,
         hreg_min=h,
         hreg_dual=n - dual_s,
-        reg=table.reg,
-        projdim=table.projdim,
-        dim=dim,
-        cohen_macaulay=n - table.projdim == dim,
+        reg=inv.reg,
+        projdim=inv.projdim,
+        dim=inv.dim,
+        cohen_macaulay=inv.cohen_macaulay,
     )
     where = f"inner={rec.inner} outer={rec.outer} n={n}"
     if rec.hreg_min != rec.hreg_dual:

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 
 import pytest
 
+from sqstanley import cli, sqmod, survey
 from sqstanley.cli import main
+from sqstanley.formats import parse_instance
+from sqstanley.partition import face_ring
+from sqstanley.sqmod import dualize_quotient
 
 
 def write(tmp_path, name, obj):
@@ -23,6 +28,16 @@ def hypersurface(tmp_path):
 def path_complex(tmp_path):
     return write(tmp_path, "path.json",
                  {"version": 1, "n": 3, "complex": {"facets": [[1, 2], [2, 3]]}})
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a survey starts: no pool, no sweep."""
+    def refuse(*args, **kwargs):
+        pytest.fail("the survey started work")
+    monkeypatch.setattr(survey, "Pool", refuse)
+    monkeypatch.setattr(cli, "survey_exhaustive", refuse)
+    monkeypatch.setattr(cli, "survey_random", refuse)
 
 
 def run(capsys, *argv):
@@ -270,6 +285,22 @@ class TestPartition:
         code, _, _ = run(capsys, "partition", hypersurface)
         assert code == 2
 
+    def test_one_search_per_side(self, capsys, monkeypatch, path_complex):
+        # the printed partition is the one the duality check found
+        searched = []
+        search = sqmod.first_interval_partition
+
+        def counted(support, tops_for):
+            searched.append(support)
+            return search(support, tops_for)
+
+        monkeypatch.setattr(sqmod, "first_interval_partition", counted)
+        code, out, _ = run(capsys, "partition", path_complex)
+        assert code == 0 and json.loads(out)["partition"]["intervals"]
+        with open(path_complex) as fh:
+            module = face_ring(parse_instance(fh.read()))
+        assert searched == [module.support_word, dualize_quotient(module).support_word]
+
 
 class TestSurvey:
     def test_exhaustive_n2(self, capsys):
@@ -290,6 +321,47 @@ class TestSurvey:
         a = run(capsys, "survey", "--n", "4", "--count", "10", "--seed", "3")
         b = run(capsys, "survey", "--n", "4", "--count", "10", "--seed", "3")
         assert a == b and a[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "-1"],
+        ["--n", "2", "--count", "-2"],
+        ["--n", "2", "--jobs", "0"],
+        ["--n", "2", "--jobs", "-5"],
+        ["--n", "2", "--jobs", str((os.cpu_count() or 1) + 1)],
+        ["--n", "2", "--count", "3", "--jobs", "1000000000"],
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, no_work, argv):
+        code, out, err = run(capsys, "survey", *argv)
+        assert code == 1
+        assert out == "" and "usage error" in err
+
+    def test_random_survey_capped(self, capsys, no_work):
+        code, out, err = run(capsys, "survey", "--n", "20", "--count", "1")
+        assert code == 4
+        assert out == "" and "cap" in err
+        code, _, _ = run(capsys, "--cap-n", "3", "survey", "--n", "4", "--count", "1")
+        assert code == 4
+
+    def test_jobs_up_to_cpu_count(self, capsys, monkeypatch):
+        # an in-process stand-in for the pool: no worker is started
+        class InlinePool:
+            def __init__(self, jobs):
+                assert jobs == (os.cpu_count() or 1)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(survey, "Pool", InlinePool)
+        jobs = str(os.cpu_count() or 1)
+        code, out, _ = run(capsys, "survey", "--n", "2", "--jobs", jobs)
+        assert code == 0
+        assert out == run(capsys, "survey", "--n", "2")[1]
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "survey", "--n", "2")

@@ -1,0 +1,183 @@
+"""The one gated cover search against the four gates it replaced.
+
+Each `ref_*` below is a `tops_for` closure as it stood when sdepth,
+hreg_min, find_partition and generator_bottom_decomposition each wrote
+their own gate.  The shared gate must run one search per call and
+offer the same tops at every node, so the pair lists (None included)
+are the same.  The last tests pin that the value-only callers build no
+witness.
+"""
+
+import json
+import random
+
+import pytest
+
+from sqstanley import sqmod
+from sqstanley.cli import main
+from sqstanley.cover import first_interval_partition
+from sqstanley.homology import depth_duality_check
+from sqstanley.instances import all_complexes, all_quotients, random_complex
+from sqstanley.partition import face_ring, find_partition, generator_bottom_decomposition
+from sqstanley.setcalc import Interval
+from sqstanley.sqmod import dualize_quotient
+from sqstanley.survey import survey_module
+
+
+def _by_size(masks):
+    return sorted(masks, key=lambda t: (-t.bit_count(), t))
+
+
+def ref_min_top(module, k):
+    order = _by_size(module.support_masks())
+    cache = {}
+
+    def tops_for(e):
+        got = cache.get(e)
+        if got is None:
+            got = [t for t in order if t & e == e and t.bit_count() >= k]
+            cache[e] = got
+        return got
+
+    return module.support_word, tops_for
+
+
+def ref_max_bottom(module, h):
+    order = _by_size(module.support_masks())
+    cache = {}
+
+    def tops_for(e):
+        if e.bit_count() > h:
+            return ()
+        got = cache.get(e)
+        if got is None:
+            got = [t for t in order if t & e == e]
+            cache[e] = got
+        return got
+
+    return module.support_word, tops_for
+
+
+def ref_facet_tops(cx):
+    facets = _by_size(cx.facet_masks())
+
+    def tops_for(bottom):
+        return [f for f in facets if not bottom & ~f]
+
+    return face_ring(cx).support_word, tops_for
+
+
+def ref_generator_bottoms(module):
+    gens = set(module.minimal_masks())
+    candidates = _by_size(module.support_masks())
+
+    def tops_for(bottom):
+        if bottom not in gens:
+            return []
+        return [t for t in candidates if not bottom & ~t]
+
+    return module.support_word, tops_for
+
+
+def traced(support, tops_for):
+    """One search, with the tops offered at each node."""
+    offered = []
+
+    def tops(bottom):
+        got = tops_for(bottom)
+        offered.append((bottom, list(got)))
+        return got
+
+    return support, first_interval_partition(support, tops), offered
+
+
+@pytest.fixture
+def same(monkeypatch):
+    """same(call, reference): call() runs exactly the one search the
+    reference closure describes; returns that search's pairs."""
+    searches = []
+
+    def record(support, tops_for):
+        searches.append(traced(support, tops_for))
+        return searches[-1][1]
+
+    monkeypatch.setattr(sqmod, "first_interval_partition", record)
+
+    def check(call, reference):
+        searches.clear()
+        call()
+        assert searches == [traced(*reference)]
+        return searches[0][1]
+
+    return check
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_module_gates(same, n):
+    found = []
+    for module in all_quotients(n):
+        for m in (module, dualize_quotient(module)):
+            for k in range(n + 1):
+                found.append(same(lambda: sqmod._cover_min_top(m, k), ref_min_top(m, k)))
+                found.append(same(lambda: sqmod._cover_max_bottom(m, k), ref_max_bottom(m, k)))
+            found.append(same(lambda: generator_bottom_decomposition(m),
+                              ref_generator_bottoms(m)))
+    assert None in found
+    assert any(f is not None for f in found)
+
+
+def _complex_gates(same, cx):
+    module = face_ring(cx)
+    dual = dualize_quotient(module)
+    return [same(lambda: find_partition(cx), ref_facet_tops(cx)),
+            same(lambda: generator_bottom_decomposition(module), ref_generator_bottoms(module)),
+            same(lambda: generator_bottom_decomposition(dual), ref_generator_bottoms(dual))]
+
+
+def test_every_small_complex(same):
+    found = []
+    for n in range(1, 5):
+        for cx in all_complexes(n):
+            found += _complex_gates(same, cx)
+    assert None in found
+    assert any(f is not None for f in found)
+
+
+def test_random_complexes(same):
+    rng = random.Random(61)
+    found = []
+    for _ in range(60):
+        found += _complex_gates(same, random_complex(rng, rng.randrange(1, 8), max_facets=5))
+    assert None in found
+    assert any(f is not None for f in found)
+
+
+@pytest.fixture
+def intervals_built(monkeypatch):
+    built = []
+    check = Interval.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    return built
+
+
+def test_value_only_callers_build_no_witness(intervals_built):
+    for module in all_quotients(3):
+        survey_module(module)
+        depth_duality_check(module)
+    assert intervals_built == []
+
+
+def test_hreg_command_builds_only_its_witness(intervals_built, tmp_path, capsys):
+    # the dual search gives hreg_dual as a value; only the direct
+    # search's witness is printed, so only its intervals are built
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"n": 4, "ideal": {"gens": [[1, 2], [2, 3], [3, 4]],
+                                                  "encoding": "support"}}))
+    assert main(["hreg", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(intervals_built) == len(doc["decomposition"]["intervals"]) > 0

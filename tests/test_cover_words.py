@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from sqstanley import partition, sqmod
+from sqstanley import sqmod
 from sqstanley.cover import first_interval_partition
 from sqstanley.errors import CapExceededError
 from sqstanley.instances import all_quotients, random_complex
@@ -59,9 +59,9 @@ def counted(tops_for, calls):
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Route sqmod's and partition's searches through both engines,
-    asserting equal results and equal tops_for calls; collects each
-    search's result."""
+    """Route every cover search (partition's go through sqmod's binding
+    too) through both engines, asserting equal results and equal
+    tops_for calls; collects each search's result."""
     searches = []
 
     def both(support, tops_for):
@@ -74,7 +74,6 @@ def compared(monkeypatch):
         return got
 
     monkeypatch.setattr(sqmod, "first_interval_partition", both)
-    monkeypatch.setattr(partition, "first_interval_partition", both)
     return searches
 
 

@@ -226,7 +226,8 @@ class TestDecompositions:
 
     def test_piece_degrees(self):
         p = EPiece(IndexSet.of(3, [1]), IndexSet.of(3, [3]))
-        assert p.degree_masks() == (0b001, 0b101)
+        (iv,) = e_to_s_decomposition(EDecomposition.of(3, [p])).intervals
+        assert iv.member_masks() == (0b001, 0b101)
 
     def test_overlapping_piece_rejected(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from sqstanley.setcalc import (
     up_closure,
     word_masks,
 )
-from sqstanley.sqmod import SqQuotient, hreg_min, sdepth
+from sqstanley.sqmod import SqQuotient, StanleyDecomposition, hreg_min, sdepth
 
 
 # ---------------------------------------------------------------- references
@@ -258,4 +258,4 @@ def test_last_feasible_probe_is_the_witness(probe_count, search, probe, module, 
     got, dec = search(module)
     assert got == value
     assert len(probe_count) == probes
-    assert dec == sqmod._as_decomposition(module, probe(module, value))
+    assert dec == StanleyDecomposition.from_masks(module.n, probe(module, value))
