@@ -52,7 +52,7 @@ from .formats import (
     to_jsonable,
     write_csv,
 )
-from .homology import DEFAULT_CHAR, invariants
+from .homology import DEFAULT_CHAR, check_char, invariants
 from .ideals import MonomialIdeal, SqIdeal, tilde
 from .linquot import linear_quotients_order, lq_decomposition
 from .partition import face_ring, partition_duality_check
@@ -368,8 +368,9 @@ def _build_parser():
                 description="Exact duality computations for squarefree "
                             "monomial quotients.")
     p.add_argument("--char", type=int, default=DEFAULT_CHAR,
-                   help="field characteristic for rank computations "
-                        "(0 for the rationals; default %(default)s)")
+                   help="field characteristic for rank computations: 0 for "
+                        "the rationals or a prime below 2^31 (default "
+                        "%(default)s)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default %(default)s)")
     p.add_argument("--cap-n", type=int, default=None,
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            check_char(args.char)
+        except ValueError as e:
+            raise UsageError(f"--char: {e}") from None
         args.timer = _Timer(args.timings)
         return args.fn(args)
     except UsageError as e:

@@ -6,9 +6,28 @@ i has one basis vector for each i-subset T of sigma whose complement
 inside sigma lies in the support, the differential sends T to its
 one-smaller subsets with alternating signs whenever the moved variable
 keeps the module part alive, and the Betti number is the homology
-dimension.  Ranks are taken over a prime field (or the rationals when
-the characteristic is zero); the matrices involved never exceed a few
-dozen rows at the sizes this package sweeps.
+dimension.
+
+Most degrees need no matrix at all.  The support is read as a family
+word (see setcalc), and the degrees worth visiting are found for all
+sigma at once:
+
+- sigma must contain a support member, so it lies in the up-closure of
+  the word;
+- sigma is a cone in direction v, for a v in sigma, when toggling v
+  never moves a subset of sigma into or out of the support; its
+  complex is then exact and every Betti number in degree sigma is 0.  With D_v the
+  word of the sets U without v for which exactly one of U and U + v is
+  in the support, sigma is such a cone exactly when sigma - v is not
+  in the up-closure of D_v: one up-closure per variable covers every
+  sigma.
+
+In a visited degree whose support members inside sigma all have the
+same size, the complex sits in one level with zero differentials, so
+the Betti number there is the member count.  Only the remaining
+degrees build boundary matrices; their ranks are taken by sparse
+elimination over a prime field, or over the rationals when the
+characteristic is zero; any other characteristic is refused.
 
 On top of the table: regularity, projective dimension, depth through
 the Auslander-Buchsbaum formula, Krull dimension from the support
@@ -19,44 +38,59 @@ whether the classical dualities hold for it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InternalCheckError, ZeroModuleError
 from .ideals import SqIdeal, sr_ideal, tilde
-from .setcalc import IndexSet, SimplicialComplex, submasks
+from .setcalc import IndexSet, SimplicialComplex, _element_steps, word_masks
 from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
 
 DEFAULT_CHAR = 32003
 
 
+def check_char(char: int) -> None:
+    """Refuse a field characteristic that is neither 0 nor a prime below
+    2^31 (the bound keeps the trial division under a few milliseconds)."""
+    if char != 0 and not (isinstance(char, int) and 2 <= char < 1 << 31
+                          and all(char % d for d in range(2, isqrt(char) + 1))):
+        raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char!r}")
+
+
 def _rank(rows, char):
     """Row rank of a small integer matrix over F_char, or over the
-    rationals when char is 0."""
+    rationals when char is 0.
+
+    The rows are equal-length lists of ints.  Each is eliminated as a
+    sparse dict {column: entry} against the pivot rows found so far,
+    which are kept normalised to lead 1 with the lead column left out.
+    """
     if not rows or not rows[0]:
         return 0
-    if char:
-        mat = [[x % char for x in r] for r in rows]
-    else:
-        mat = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        inv = pow(lead, -1, char) if char else 1 / lead
-        row = [x * inv % char if char else x * inv for x in mat[rank]]
-        mat[rank] = row
-        for r in range(rank + 1, len(mat)):
-            c = mat[r][col]
-            if c:
-                mat[r] = [(a - c * b) % char if char else a - c * b
-                          for a, b in zip(mat[r], row)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    full = min(len(rows), len(rows[0]))
+    pivots = {}
+    for dense in rows:
+        if char:
+            row = {c: x % char for c, x in enumerate(dense) if x % char}
+        else:
+            row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        while row:
+            col = min(row)
+            lead = row.pop(col)
+            piv = pivots.get(col)
+            if piv is None:
+                if len(pivots) + 1 == full:
+                    return full
+                inv = pow(lead, -1, char) if char else 1 / lead
+                pivots[col] = {c: x * inv % char if char else x * inv
+                               for c, x in row.items()}
+                break
+            for c, x in piv.items():
+                y = (row.get(c, 0) - lead * x) % char if char else row.get(c, 0) - lead * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -101,30 +135,56 @@ class BettiTable:
 
 
 def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
-    """The multigraded Betti table of the module over the chosen field."""
-    supp = set(module.support_masks())
+    """The multigraded Betti table of the module over the chosen field.
+
+    Raises ValueError when char is neither 0 nor a prime below 2^31;
+    the default characteristic skips that test."""
+    if char != DEFAULT_CHAR:
+        check_char(char)
+    n = module.n
+    word = module.support_word
+    steps = list(_element_steps(n))
+
+    def up(w):
+        for step, lacking in steps:
+            w |= (w & lacking) << step
+        return w
+
+    # D_v holds the sets U without v for which exactly one of U and
+    # U + v is in the support; sigma containing v is a cone in direction
+    # v, with no homology, when no subset of sigma - v is in D_v.
+    cone = 0
+    for step, lacking in steps:
+        cone |= (~up((word ^ word >> step) & lacking) & lacking) << step
+    members = word_masks(word)
     entries = []
-    for sigma in range(1 << module.n):
-        bases = {}
-        for t in submasks(sigma):
-            if sigma ^ t in supp:
-                bases.setdefault(t.bit_count(), []).append(t)
-        if not bases:
+    for sigma in word_masks(up(word) & ~cone):
+        inside = [u for u in members if u & sigma == u]
+        k = inside[0].bit_count()
+        if all(u.bit_count() == k for u in inside):
+            # one level, zero differentials: every basis vector counts
+            entries.append((sigma.bit_count() - k, sigma, len(inside)))
             continue
-        index = {i: {t: k for k, t in enumerate(lst)} for i, lst in bases.items()}
+        bases = {}
+        index = {}
+        for u in inside:
+            t = sigma ^ u
+            lst = bases.setdefault(t.bit_count(), [])
+            index[t] = len(lst)
+            lst.append(t)
         ranks = {}
-        for i in bases:
-            below = index.get(i - 1)
-            if not below:
+        for i, lst in bases.items():
+            lower = bases.get(i - 1)
+            if not lower:
                 continue
             rows = []
-            for t in bases[i]:
-                row = [0] * len(below)
+            for t in lst:
+                row = [0] * len(lower)
                 rest = t
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    col = below.get(t ^ low)
+                    col = index.get(t ^ low)
                     if col is not None:
                         row[col] = -1 if (t & (low - 1)).bit_count() % 2 else 1
                 rows.append(row)
@@ -135,7 +195,7 @@ def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
                 raise InternalCheckError("negative homology dimension")
             if b:
                 entries.append((i, sigma, b))
-    return BettiTable(module.n, char, tuple(sorted(entries)))
+    return BettiTable(n, char, tuple(sorted(entries)))
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,29 @@ class TestModuleCommands:
         assert code == 0
         assert json.loads(out)["char"] == 2
 
+    @pytest.mark.parametrize("char", ["1", "4", "-3"])
+    def test_char_not_zero_or_prime_is_usage_error(self, capsys, monkeypatch,
+                                                    no_work, tmp_path, char):
+        def refuse(*args, **kwargs):
+            pytest.fail("invariants started work")
+        monkeypatch.setattr(cli, "invariants", refuse)
+        cycle = write(tmp_path, "c4.json", {"n": 4, "ideal": {
+            "gens": [[1, 2], [2, 3], [3, 4], [1, 4]], "encoding": "support"}})
+        for argv in (("invariants", cycle), ("survey", "--n", "2")):
+            code, out, err = run(capsys, f"--char={char}", *argv)
+            assert code == 1
+            assert out == ""
+            assert "usage error" in err and char in err
+
+    @pytest.mark.parametrize("char", ["0", "2", "3"])
+    def test_four_cycle_in_every_field(self, capsys, tmp_path, char):
+        cycle = write(tmp_path, "c4.json", {"n": 4, "ideal": {
+            "gens": [[1, 2], [2, 3], [3, 4], [1, 4]], "encoding": "support"}})
+        code, out, _ = run(capsys, f"--char={char}", "invariants", cycle)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["char"], doc["projdim"], doc["depth"]) == (int(char), 3, 1)
+
     def test_zero_module(self, capsys, tmp_path):
         path = write(tmp_path, "z.json", {
             "n": 2,
