@@ -369,7 +369,7 @@ def _build_parser():
                             "monomial quotients.")
     p.add_argument("--char", type=int, default=DEFAULT_CHAR,
                    help="field characteristic for rank computations: 0 for "
-                        "the rationals or a prime below 2^31 (default "
+                        "the rationals or a prime below 2^64 (default "
                         "%(default)s)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format (default %(default)s)")

@@ -16,16 +16,14 @@ sigma at once:
   the word;
 - sigma is a cone in direction v, for a v in sigma, when toggling v
   never moves a subset of sigma into or out of the support; its
-  complex is then exact and every Betti number in degree sigma is 0.  With D_v the
-  word of the sets U without v for which exactly one of U and U + v is
-  in the support, sigma is such a cone exactly when sigma - v is not
-  in the up-closure of D_v: one up-closure per variable covers every
-  sigma.
+  complex is then exact and every Betti number in degree sigma is 0.
+  setcalc.cone_word finds every such sigma with one up-closure per
+  variable.
 
-In a visited degree whose support members inside sigma all have the
-same size, the complex sits in one level with zero differentials, so
-the Betti number there is the member count.  Only the remaining
-degrees build boundary matrices; their ranks are taken by sparse
+A visited degree builds one basis per nonempty level and ranks the
+boundary map between each pair of adjacent nonempty levels, so a degree
+whose support members inside sigma all have one size takes no rank and
+its Betti number is the member count.  Ranks are taken by sparse
 elimination over a prime field, or over the rationals when the
 characteristic is zero; any other characteristic is refused.
 
@@ -38,22 +36,44 @@ whether the classical dualities hold for it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import InternalCheckError, ZeroModuleError
 from .ideals import SqIdeal, sr_ideal, tilde
-from .setcalc import IndexSet, SimplicialComplex, _element_steps, word_masks
+from .setcalc import IndexSet, SimplicialComplex, cone_word, up_closure, word_masks
 from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
 
 DEFAULT_CHAR = 32003
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def check_char(char: int) -> None:
     """Refuse a field characteristic that is neither 0 nor a prime below
-    2^31 (the bound keeps the trial division under a few milliseconds)."""
-    if char != 0 and not (isinstance(char, int) and 2 <= char < 1 << 31
-                          and all(char % d for d in range(2, isqrt(char) + 1))):
-        raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char!r}")
+    2^64."""
+    if char != 0 and not (isinstance(char, int) and 2 <= char < 1 << 64
+                          and _is_prime(char)):
+        raise ValueError(f"characteristic must be 0 or a prime below 2^64, got {char!r}")
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin over the bases 2 to 37, which is exact for every p
+    from 2 to far beyond 2^64 and costs a dozen modular powers."""
+    if p in _PRIME_BASES:
+        return True
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _rank(rows, char):
@@ -137,34 +157,16 @@ class BettiTable:
 def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
     """The multigraded Betti table of the module over the chosen field.
 
-    Raises ValueError when char is neither 0 nor a prime below 2^31;
+    Raises ValueError when char is neither 0 nor a prime below 2^64;
     the default characteristic skips that test."""
     if char != DEFAULT_CHAR:
         check_char(char)
     n = module.n
     word = module.support_word
-    steps = list(_element_steps(n))
-
-    def up(w):
-        for step, lacking in steps:
-            w |= (w & lacking) << step
-        return w
-
-    # D_v holds the sets U without v for which exactly one of U and
-    # U + v is in the support; sigma containing v is a cone in direction
-    # v, with no homology, when no subset of sigma - v is in D_v.
-    cone = 0
-    for step, lacking in steps:
-        cone |= (~up((word ^ word >> step) & lacking) & lacking) << step
     members = word_masks(word)
     entries = []
-    for sigma in word_masks(up(word) & ~cone):
+    for sigma in word_masks(up_closure(word, n) & ~cone_word(word, n)):
         inside = [u for u in members if u & sigma == u]
-        k = inside[0].bit_count()
-        if all(u.bit_count() == k for u in inside):
-            # one level, zero differentials: every basis vector counts
-            entries.append((sigma.bit_count() - k, sigma, len(inside)))
-            continue
         bases = {}
         index = {}
         for u in inside:

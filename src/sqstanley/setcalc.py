@@ -84,11 +84,15 @@ def _element_steps(n: int) -> Iterator[tuple[int, int]]:
         yield step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1)
 
 
-def up_closure(word: int, n: int) -> int:
-    """Every superset of a member: the superset zeta transform."""
-    for step, lacking in _element_steps(n):
+def _up(word: int, steps: Iterable[tuple[int, int]]) -> int:
+    for step, lacking in steps:
         word |= (word & lacking) << step
     return word
+
+
+def up_closure(word: int, n: int) -> int:
+    """Every superset of a member: the superset zeta transform."""
+    return _up(word, _element_steps(n))
 
 
 def down_closure(word: int, n: int) -> int:
@@ -112,6 +116,22 @@ def one_larger(word: int, n: int) -> int:
     for step, lacking in _element_steps(n):
         out |= (word & lacking) << step
     return out
+
+
+def cone_word(word: int, n: int) -> int:
+    """The sets sigma with an element v such that adding or removing v
+    never moves a subset of sigma into or out of the family.
+
+    With D_v the sets U without v for which exactly one of U and U + v
+    is a member, sigma containing v qualifies through v exactly when
+    sigma - v is not in the up-closure of D_v.  The n closures share one
+    list of element steps.
+    """
+    steps = tuple(_element_steps(n))
+    cone = 0
+    for step, lacking in steps:
+        cone |= (~_up((word ^ word >> step) & lacking, steps) & lacking) << step
+    return cone
 
 
 @total_ordering

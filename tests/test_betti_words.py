@@ -4,12 +4,13 @@ ref_betti below is the table computation that visited every degree
 sigma and every submask of it over a Python set, ranking dense +-1
 matrices by dense elimination (ref_rank).  The word-based betti must
 give exactly its tables, in every characteristic tested, and must rank
-exactly the boundary maps of the degrees that are neither cones nor
-concentrated in one level.
+exactly the boundary maps between adjacent nonempty levels of the
+degrees that are not cones.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -182,7 +183,8 @@ def test_rank_over_the_rationals_is_not_modular():
 
 # ---------------------------------------------------------------- characteristic
 
-@pytest.mark.parametrize("char", [1, 4, -3])
+@pytest.mark.parametrize("char", [1, 4, -3, 561, 2 ** 64 - 1, 2 ** 64 + 13,
+                                  3825123056546413051])
 def test_betti_refuses_a_characteristic_that_is_not_0_or_prime(char):
     module = next(iter(all_quotients(2)))
     with pytest.raises(ValueError, match=str(char)):
@@ -197,3 +199,21 @@ def test_default_characteristic_skips_the_primality_test(monkeypatch):
     assert betti(module).char == DEFAULT_CHAR
     with pytest.raises(InternalCheckError):
         betti(module, 2)
+
+
+def test_primality_matches_trial_division():
+    for p in range(20000):
+        prime = p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+        try:
+            homology.check_char(p)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (prime or p == 0), p
+
+
+@pytest.mark.parametrize("char", [2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59])
+def test_large_primes_are_accepted(small_modules, char):
+    homology.check_char(char)
+    for module in small_modules[::25]:
+        assert betti(module, char).entries == ref_betti(module, char), module

@@ -130,7 +130,7 @@ class TestModuleCommands:
             assert out == ""
             assert "usage error" in err and char in err
 
-    @pytest.mark.parametrize("char", ["0", "2", "3"])
+    @pytest.mark.parametrize("char", ["0", "2", "3", str(2 ** 61 - 1)])
     def test_four_cycle_in_every_field(self, capsys, tmp_path, char):
         cycle = write(tmp_path, "c4.json", {"n": 4, "ideal": {
             "gens": [[1, 2], [2, 3], [3, 4], [1, 4]], "encoding": "support"}})

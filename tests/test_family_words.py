@@ -18,6 +18,7 @@ from sqstanley.setcalc import (
     IndexSet,
     SimplicialComplex,
     complement_family,
+    cone_word,
     down_closure,
     family_word,
     full_word,
@@ -150,6 +151,16 @@ class TestWords:
             x for x in range(1 << n) if any(x & ~m == 0 for m in masks))
         full = (1 << n) - 1
         assert word_masks(complement_family(w, n)) == tuple(sorted(full ^ m for m in masks))
+
+    @given(st.integers(min_value=0, max_value=6), st.data())
+    def test_cone_word_matches_sweep(self, n, data):
+        masks = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=24))
+        cones = tuple(
+            sigma for sigma in range(1 << n)
+            if any(all((u in masks) == (u | 1 << v in masks)
+                       for u in range(1 << n) if u & ~(sigma & ~(1 << v)) == 0)
+                   for v in range(n) if sigma >> v & 1))
+        assert word_masks(cone_word(family_word(masks), n)) == cones
 
 
 class TestAgainstSweeps:
