@@ -19,7 +19,6 @@ clean.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -42,8 +41,8 @@ from .filtration import (
     validate_filtration,
 )
 from .formats import (
-    FORMAT_VERSION,
     QuotientSpec,
+    _load_json,
     dump_json,
     instance_document,
     parse_gens,
@@ -72,14 +71,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Timer:
-    def __init__(self, enabled):
-        self.enabled = enabled
-
-    def note(self, label, start):
-        if self.enabled:
-            print(f"[time] {label}: {time.perf_counter() - start:.3f}s",
-                  file=sys.stderr)
+def _note(args, label, start):
+    if args.timings:
+        print(f"[time] {label}: {time.perf_counter() - start:.3f}s",
+              file=sys.stderr)
 
 
 def _read_source(path):
@@ -110,7 +105,8 @@ def _as_module(parsed) -> SqQuotient:
     return face_ring(parsed)
 
 
-def _require_nonzero(module):
+def _nonzero_module(args) -> SqQuotient:
+    module = _as_module(_load(args.instance, args.cap_n))
     if module.is_zero:
         raise ZeroModuleError("the quotient is zero; nothing to compute")
     return module
@@ -146,10 +142,10 @@ def cmd_dual(args):
 
 
 def cmd_sdepth(args):
-    module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
+    module = _nonzero_module(args)
     start = time.perf_counter()
     value, dec = sdepth(module)
-    args.timer.note("sdepth search", start)
+    _note(args, "sdepth search", start)
     rows = [{"n": module.n, "sdepth": value, "intervals": len(dec.intervals)}]
     _emit_rows(args, rows, {"n": module.n, "sdepth": value,
                             "decomposition": to_jsonable(dec)})
@@ -157,11 +153,11 @@ def cmd_sdepth(args):
 
 
 def cmd_hreg(args):
-    module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
+    module = _nonzero_module(args)
     start = time.perf_counter()
     value, dec = hreg_min(module)
     via_dual, _ = _sdepth_walk(dualize_quotient(module))
-    args.timer.note("hreg search", start)
+    _note(args, "hreg search", start)
     from_dual = module.n - via_dual
     rows = [{"n": module.n, "hreg_min": value, "hreg_dual": from_dual}]
     _emit_rows(args, rows, {"n": module.n, "hreg_min": value,
@@ -172,7 +168,7 @@ def cmd_hreg(args):
 
 def cmd_decompose(args):
     _json_only(args)
-    module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
+    module = _nonzero_module(args)
     value, dec = sdepth(module)
     _emit(args, {"n": module.n, "sdepth": value, "hreg": dec.hreg,
                  "decomposition": to_jsonable(dec)})
@@ -180,29 +176,16 @@ def cmd_decompose(args):
 
 
 def _filtration_document(module, filt):
-    return {"version": FORMAT_VERSION, "n": module.n,
-            "quotient": to_jsonable(module),
-            "filtration": to_jsonable(filt)}
+    return {**instance_document(module), "filtration": to_jsonable(filt)}
 
 
 def _parse_filtration_document(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e}") from None
+    obj = _load_json(text)
     if not isinstance(obj, dict) or "filtration" not in obj or "quotient" not in obj:
         raise FormatError("expected a document with 'quotient' and 'filtration'")
-    if obj.get("version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {obj.get('version')!r}")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise FormatError(f"'n' must be a positive integer, got {n!r}")
-    spec = obj["quotient"]
-    if not isinstance(spec, dict) or not {"inner", "outer"} <= spec.keys():
-        raise FormatError("'quotient' needs 'inner' and 'outer' ideal blocks")
-    module = build_quotient(
-        MonomialIdeal.of(n, parse_gens(n, spec["inner"], "inner")),
-        MonomialIdeal.of(n, parse_gens(n, spec["outer"], "outer")))
+    spec = parse_instance({k: obj[k] for k in ("version", "n", "quotient") if k in obj})
+    n = spec.n
+    module = build_quotient(spec.inner, spec.outer)
     block = obj["filtration"]
     if not isinstance(block, dict) or "base" not in block or "steps" not in block:
         raise FormatError("'filtration' needs 'base' and 'steps'")
@@ -239,7 +222,7 @@ def cmd_filtration(args):
 
 def cmd_exterior(args):
     _json_only(args)
-    module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
+    module = _nonzero_module(args)
     emod = to_exterior(module)
     if args.action == "theta":
         try:
@@ -265,15 +248,13 @@ def cmd_exterior(args):
 
 
 def cmd_invariants(args):
-    module = _require_nonzero(_as_module(_load(args.instance, args.cap_n)))
+    module = _nonzero_module(args)
     start = time.perf_counter()
     inv = invariants(module, args.char)
-    args.timer.note("betti", start)
-    row = {"n": inv.n, "char": inv.char, "projdim": inv.projdim,
-           "reg": inv.reg, "depth": inv.depth, "dim": inv.dim,
-           "cohen_macaulay": inv.cohen_macaulay,
-           "linear_resolution": inv.linear_resolution}
-    _emit_rows(args, [row], {**row, "betti": to_jsonable(inv.betti)})
+    _note(args, "betti", start)
+    payload = to_jsonable(inv)
+    row = {k: v for k, v in payload.items() if k != "betti"}
+    _emit_rows(args, [row], payload)
     return 0
 
 
@@ -310,7 +291,7 @@ def cmd_partition(args):
         raise FormatError("the void complex has no face ring")
     start = time.perf_counter()
     rec = partition_duality_check(parsed, args.char)
-    args.timer.note("partition search", start)
+    _note(args, "partition search", start)
     row = {"n": rec.n, "partitionable": rec.partitionable,
            "cohen_macaulay": rec.cohen_macaulay,
            "dual_generator_bottoms": rec.dual_generator_bottoms,
@@ -350,7 +331,7 @@ def cmd_survey(args):
         records = survey_random(args.n, args.count, seed=args.seed,
                                 char=args.char, jobs=args.jobs)
         mode = "random"
-    args.timer.note(f"survey {mode}", start)
+    _note(args, f"survey {mode}", start)
     bad = counterexamples(records)
     rows = [r.row() for r in records]
     payload = {"n": args.n, "mode": mode, "count": len(records),
@@ -440,7 +421,6 @@ def main(argv=None) -> int:
             check_char(args.char)
         except ValueError as e:
             raise UsageError(f"--char: {e}") from None
-        args.timer = _Timer(args.timings)
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -22,7 +22,6 @@ from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
     dualize_quotient,
-    tilde_ext,
 )
 
 
@@ -135,11 +134,10 @@ def dualize_filtration(filt: PrimeFiltration) -> PrimeFiltration:
     after dualizing, to adjoining x_F with colon P_G one level down the
     reversed chain.  That is checked here on every call.
     """
-    final = filt.final_ideal()
+    dual_module = dualize_quotient(filt.module())
     dual_steps = tuple(FiltrationStep(s.prime, s.degree) for s in reversed(filt.steps))
-    dual = PrimeFiltration(filt.n, tilde_ext(final), dual_steps)
-    module = SqQuotient(filt.n, filt.base, final)
-    if not validate_filtration(dualize_quotient(module), dual):
+    dual = PrimeFiltration(filt.n, dual_module.inner, dual_steps)
+    if not validate_filtration(dual_module, dual):
         raise InternalCheckError("dualized filtration fails validation")
     return dual
 

@@ -11,7 +11,10 @@ are always support lists.
 Serialization goes the other way: ``to_jsonable`` turns any object of
 this package into plain dicts and lists (index sets become sorted
 1-based member lists), ``dump_json`` renders deterministically, and
-``write_csv`` lays flat record dicts out as a table.
+``write_csv`` lays flat record dicts out as a table.  A dataclass
+serializes field by field, so decompositions, filtrations and exterior
+pieces need no code here; only types whose document differs from their
+fields register a handler.
 """
 
 import csv
@@ -21,12 +24,11 @@ from functools import singledispatch
 from typing import NamedTuple
 
 from .errors import FormatError
-from .exterior import EDecomposition, EPiece, ExtElement
-from .filtration import FiltrationStep, PrimeFiltration
+from .exterior import ExtElement
 from .homology import BettiTable
 from .ideals import Monomial, MonomialIdeal, SqIdeal
-from .setcalc import IndexSet, Interval, SimplicialComplex
-from .sqmod import SqQuotient, StanleyDecomposition
+from .setcalc import IndexSet, SimplicialComplex
+from .sqmod import SqQuotient
 
 FORMAT_VERSION = 1
 
@@ -86,19 +88,23 @@ def parse_gens(n, block, where="ideal"):
     raise FormatError(f"{where}: unknown encoding {encoding!r}")
 
 
+def _load_json(source):
+    """JSON text decoded, or an already-loaded value as it is."""
+    if not isinstance(source, str):
+        return source
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"not valid JSON: {e}") from None
+
+
 def parse_instance(source):
     """One instance document, from JSON text or an already-loaded dict.
 
     Returns a MonomialIdeal, a QuotientSpec of two of them, or a
     SimplicialComplex; squarefree-ness is the caller's concern.
     """
-    if isinstance(source, str):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}") from None
-    else:
-        obj = source
+    obj = _load_json(source)
     if not isinstance(obj, dict):
         raise FormatError("instance document must be a JSON object")
     version = obj.get("version", FORMAT_VERSION)
@@ -180,40 +186,9 @@ def _(x: SqQuotient):
 
 
 @to_jsonable.register
-def _(x: Interval):
-    return {"bottom": to_jsonable(x.bottom), "top": to_jsonable(x.top)}
-
-
-@to_jsonable.register
-def _(x: StanleyDecomposition):
-    return {"n": x.n, "intervals": [to_jsonable(iv) for iv in x.intervals]}
-
-
-@to_jsonable.register
-def _(x: FiltrationStep):
-    return {"degree": to_jsonable(x.degree), "prime": to_jsonable(x.prime)}
-
-
-@to_jsonable.register
-def _(x: PrimeFiltration):
-    return {"n": x.n, "base": to_jsonable(x.base),
-            "steps": [to_jsonable(s) for s in x.steps]}
-
-
-@to_jsonable.register
 def _(x: ExtElement):
     return {"terms": [{"set": sorted(IndexSet(x.n, m).members), "coeff": c}
                       for m, c in x.items]}
-
-
-@to_jsonable.register
-def _(x: EPiece):
-    return {"start": to_jsonable(x.start), "free": to_jsonable(x.free)}
-
-
-@to_jsonable.register
-def _(x: EDecomposition):
-    return {"n": x.n, "pieces": [to_jsonable(p) for p in x.pieces]}
 
 
 @to_jsonable.register

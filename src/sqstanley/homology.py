@@ -36,6 +36,7 @@ whether the classical dualities hold for it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalCheckError, ZeroModuleError
 from .ideals import SqIdeal, sr_ideal, tilde
@@ -54,6 +55,9 @@ def check_char(char: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime below 2^64, got {char!r}")
 
 
+# behind check_char's type test: lru_cache may take 32003.0 or True for
+# the int they equal
+@lru_cache(maxsize=16)
 def _is_prime(p: int) -> bool:
     """Miller-Rabin over the bases 2 to 37, which is exact for every p
     from 2 to far beyond 2^64 and costs a dozen modular powers."""
@@ -157,10 +161,8 @@ class BettiTable:
 def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
     """The multigraded Betti table of the module over the chosen field.
 
-    Raises ValueError when char is neither 0 nor a prime below 2^64;
-    the default characteristic skips that test."""
-    if char != DEFAULT_CHAR:
-        check_char(char)
+    Raises ValueError when char is neither 0 nor a prime below 2^64."""
+    check_char(char)
     n = module.n
     word = module.support_word
     members = word_masks(word)

@@ -93,8 +93,13 @@ def linear_quotients_order(ideal):
         dead.add(used)
         return False
 
-    if not extend(frozenset()):
-        return None
+    try:
+        if not extend(frozenset()):
+            return None
+    finally:
+        # extend's closure refers to extend itself; break that cycle so
+        # the memo is freed on return, not at the next collection
+        extend = None
     return LinearQuotientsOrder(n, tuple(gens[i] for i in chosen),
                                 tuple(vars_masks))
 

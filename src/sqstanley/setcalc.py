@@ -19,7 +19,7 @@ the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, NMismatchError
@@ -75,24 +75,20 @@ def complement_family(word: int, n: int) -> int:
     return int(format(word, f"0{1 << n}b")[::-1], 2)
 
 
-def _element_steps(n: int) -> Iterator[tuple[int, int]]:
+@lru_cache(maxsize=8)
+def _element_steps(n: int) -> tuple[tuple[int, int], ...]:
     """For each bit j < n: the shift 2^j that sets it in a mask, and the
     word of the masks lacking it."""
     full = full_word(n)
-    for j in range(n):
-        step = 1 << j
-        yield step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1)
-
-
-def _up(word: int, steps: Iterable[tuple[int, int]]) -> int:
-    for step, lacking in steps:
-        word |= (word & lacking) << step
-    return word
+    return tuple((step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1))
+                 for step in (1 << j for j in range(n)))
 
 
 def up_closure(word: int, n: int) -> int:
     """Every superset of a member: the superset zeta transform."""
-    return _up(word, _element_steps(n))
+    for step, lacking in _element_steps(n):
+        word |= (word & lacking) << step
+    return word
 
 
 def down_closure(word: int, n: int) -> int:
@@ -124,13 +120,11 @@ def cone_word(word: int, n: int) -> int:
 
     With D_v the sets U without v for which exactly one of U and U + v
     is a member, sigma containing v qualifies through v exactly when
-    sigma - v is not in the up-closure of D_v.  The n closures share one
-    list of element steps.
+    sigma - v is not in the up-closure of D_v.
     """
-    steps = tuple(_element_steps(n))
     cone = 0
-    for step, lacking in steps:
-        cone |= (~_up((word ^ word >> step) & lacking, steps) & lacking) << step
+    for step, lacking in _element_steps(n):
+        cone |= (~up_closure((word ^ word >> step) & lacking, n) & lacking) << step
     return cone
 
 

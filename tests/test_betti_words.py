@@ -15,7 +15,6 @@ from math import isqrt
 import pytest
 
 from sqstanley import homology
-from sqstanley.errors import InternalCheckError
 from sqstanley.homology import DEFAULT_CHAR, betti
 from sqstanley.instances import all_complexes, all_quotients, random_quotient
 from sqstanley.partition import face_ring
@@ -191,14 +190,18 @@ def test_betti_refuses_a_characteristic_that_is_not_0_or_prime(char):
         betti(module, char)
 
 
-def test_default_characteristic_skips_the_primality_test(monkeypatch):
-    def refuse(char):
-        raise InternalCheckError("primality tested on the default path")
-    monkeypatch.setattr(homology, "check_char", refuse)
-    module = next(iter(all_quotients(2)))
-    assert betti(module).char == DEFAULT_CHAR
-    with pytest.raises(InternalCheckError):
-        betti(module, 2)
+def test_primality_is_tested_once_per_characteristic():
+    modules = list(all_quotients(2))
+    homology._is_prime.cache_clear()
+    for char in (DEFAULT_CHAR, 2 ** 61 - 1):
+        for module in modules:
+            assert betti(module, char).char == char
+    assert homology._is_prime.cache_info().misses == 2
+    # the cache sits behind the type test, so values equal to an accepted
+    # int are still refused
+    for bad in (32003.0, True):
+        with pytest.raises(ValueError):
+            homology.check_char(bad)
 
 
 def test_primality_matches_trial_division():

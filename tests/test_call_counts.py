@@ -1,0 +1,51 @@
+"""Each duality check computes each dual, Betti table and cover walk
+once.  The counts are pinned, so a change that repeats one of them
+shows here."""
+
+import sys
+
+import pytest
+
+from sqstanley import homology, sqmod, survey
+from sqstanley.instances import all_quotients
+
+COUNTED = {
+    "betti": homology.betti,
+    "dualize_quotient": sqmod.dualize_quotient,
+    "_sdepth_walk": sqmod._sdepth_walk,
+    "_hreg_walk": sqmod._hreg_walk,
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the COUNTED calls through every module that binds them."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name, original in COUNTED.items():
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("sqstanley")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+MODULES = [m for n in (2, 3) for m in list(all_quotients(n))[::7]]
+
+
+@pytest.mark.parametrize("check, expected", [
+    (survey.survey_module,
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 2, "_hreg_walk": 1}),
+    (homology.terai_check,
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0}),
+    (homology.depth_duality_check,
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 1}),
+], ids=["survey_module", "terai_check", "depth_duality_check"])
+def test_each_piece_computed_once(calls, check, expected):
+    for module in MODULES:
+        calls.update(dict.fromkeys(calls, 0))
+        check(module)
+        assert calls == expected, module

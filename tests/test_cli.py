@@ -223,6 +223,28 @@ class TestFiltration:
         code, _, _ = run(capsys, "filtration", "validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("change", [
+        lambda doc: "{not json",
+        lambda doc: {**doc, "version": 2},
+        lambda doc: {**doc, "n": 0},
+        lambda doc: {**doc, "quotient": {"outer": doc["quotient"]["outer"]}},
+    ], ids=["bad-json", "version-2", "n-0", "no-inner"])
+    @pytest.mark.parametrize("action", ["validate", "dualize"])
+    def test_header_errors_match_the_instance_path(self, capsys, hypersurface,
+                                                   tmp_path, change, action):
+        _, out, _ = run(capsys, "filtration", "build", hypersurface)
+        doc = change(json.loads(out))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        filt = tmp_path / "filt.json"
+        filt.write_text(text)
+        instance = tmp_path / "instance.json"
+        instance.write_text(text if isinstance(doc, str) else json.dumps(
+            {k: v for k, v in doc.items() if k != "filtration"}))
+        code, out, err = run(capsys, "filtration", action, str(filt))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert run(capsys, "sdepth", str(instance)) == (code, out, err)
+
 
 class TestExterior:
     def test_theta(self, capsys, hypersurface):

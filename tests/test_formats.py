@@ -3,7 +3,8 @@ import json
 import pytest
 
 from sqstanley.errors import FormatError
-from sqstanley.filtration import facet_peel_filtration
+from sqstanley.exterior import edual_decomposition, s_to_e_decomposition
+from sqstanley.filtration import dualize_filtration, facet_peel_filtration
 from sqstanley.formats import (
     QuotientSpec,
     dump_json,
@@ -16,7 +17,7 @@ from sqstanley.formats import (
 from sqstanley.homology import betti
 from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
 from sqstanley.setcalc import IndexSet, SimplicialComplex
-from sqstanley.sqmod import SqQuotient, sdepth
+from sqstanley.sqmod import SqQuotient, dualize_decomposition, sdepth
 
 
 class TestParsing:
@@ -150,3 +151,73 @@ class TestSerialization:
         with open(path, "w", newline="") as fh:
             write_csv(rows, fh)
         assert path.read_text().splitlines() == ["n,ok", "2,True", "3,False"]
+
+
+class TestDataclassDocuments:
+    """The six documents that come from dataclass fields alone, written
+    out by hand for S/(x1x2) at n = 3, whose support is the empty set,
+    1, 2, 3, 13 and 23."""
+
+    module = SqQuotient(3, SqIdeal.of(3, [0b011]), SqIdeal.of(3, [0]))
+
+    def decomposition(self):
+        value, dec = sdepth(self.module)
+        assert value == 2
+        return dec
+
+    def test_decomposition(self):
+        assert to_jsonable(self.decomposition()) == {
+            "n": 3,
+            "intervals": [{"bottom": [], "top": [1, 3]},
+                          {"bottom": [2], "top": [2, 3]}]}
+
+    def test_dual_decomposition(self):
+        # [B, T] becomes [complement of T, complement of B]
+        assert to_jsonable(dualize_decomposition(self.decomposition())) == {
+            "n": 3,
+            "intervals": [{"bottom": [1], "top": [1, 3]},
+                          {"bottom": [2], "top": [1, 2, 3]}]}
+
+    def test_filtration(self):
+        # peel the smallest maximal member first: 13, 1, 23, 2, 3, then
+        # the empty set, each with the complement as its prime
+        assert to_jsonable(facet_peel_filtration(self.module)) == {
+            "n": 3,
+            "base": {"gens": [[1, 2]], "encoding": "support"},
+            "steps": [{"degree": [1, 3], "prime": [2]},
+                      {"degree": [1], "prime": [2, 3]},
+                      {"degree": [2, 3], "prime": [1]},
+                      {"degree": [2], "prime": [1, 3]},
+                      {"degree": [3], "prime": [1, 2]},
+                      {"degree": [], "prime": [1, 2, 3]}]}
+
+    def test_dual_filtration(self):
+        # steps reversed with degree and prime exchanged; the final ideal
+        # is the unit ideal, whose dual is the zero ideal
+        dual = dualize_filtration(facet_peel_filtration(self.module))
+        assert to_jsonable(dual) == {
+            "n": 3,
+            "base": {"gens": [], "encoding": "support"},
+            "steps": [{"degree": [1, 2, 3], "prime": []},
+                      {"degree": [1, 2], "prime": [3]},
+                      {"degree": [1, 3], "prime": [2]},
+                      {"degree": [1], "prime": [2, 3]},
+                      {"degree": [2, 3], "prime": [1]},
+                      {"degree": [2], "prime": [1, 3]}]}
+
+    def test_exterior_pieces(self):
+        # [B, T] becomes the piece starting at B, free on T - B
+        pieces = s_to_e_decomposition(self.decomposition())
+        assert to_jsonable(pieces) == {
+            "n": 3,
+            "pieces": [{"start": [], "free": [1, 3]},
+                       {"start": [2], "free": [3]}]}
+
+    def test_dual_pieces(self):
+        dual, signs = edual_decomposition(
+            s_to_e_decomposition(self.decomposition()))
+        assert signs == (1, 1)
+        assert to_jsonable(dual) == {
+            "n": 3,
+            "pieces": [{"start": [1], "free": [3]},
+                       {"start": [2], "free": [1, 3]}]}

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -77,6 +78,20 @@ class TestOrderSearch:
             mono = [Monomial.from_support(IndexSet(n, m))
                     for m in ideal.gen_masks]
             assert has_linear_quotients(ideal) == brute_force_has_lq(mono)
+
+    @pytest.mark.parametrize("masks", [[0b00011, 0b01100, 0b10001, 0b00110],
+                                       [0b00011, 0b00101, 0b00110]])
+    def test_search_memo_freed_on_return(self, masks):
+        # the first ideal has no linear quotients, so the memo fills up;
+        # the second returns from inside the search
+        ideal = sq(5, masks)
+        gc.collect()
+        gc.disable()
+        try:
+            linear_quotients_order(ideal)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDecomposition:

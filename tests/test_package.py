@@ -1,0 +1,63 @@
+"""Package-level guards: the library imports only the standard library,
+and its public names are pinned."""
+
+import ast
+import sys
+from pathlib import Path
+
+import sqstanley
+
+PACKAGE = Path(sqstanley.__file__).resolve().parent
+
+PUBLIC = [
+    "BettiTable", "CapExceededError", "DepthDualityRecord", "EDecomposition",
+    "EPiece", "EagonReinerRecord", "ExtElement", "ExtQuotientModule",
+    "FiltrationStep", "FormatError", "IndexSet", "InternalCheckError",
+    "Interval", "InvariantReport", "LinearQuotientsOrder", "Monomial",
+    "MonomialIdeal", "NMismatchError", "NonSquarefreeError",
+    "PartitionabilityRecord", "PrimeFiltration", "SimplicialComplex",
+    "SqIdeal", "SqQuotient", "StanleyDecomposition", "SurveyRecord",
+    "TeraiRecord", "TheoremViolationError", "ZeroModuleError",
+    "alexander_dual", "all_complexes", "all_quotients", "all_sq_ideals",
+    "associated_primes", "betti", "build_quotient", "counterexamples",
+    "depth_duality_check", "dual_functional_image", "dual_right_mul",
+    "dualize_decomposition", "dualize_filtration", "dualize_quotient",
+    "dump_json", "e_dual", "e_to_s_decomposition", "eagon_reiner_check",
+    "edual_decomposition", "face_ring", "facet_peel_filtration",
+    "filtration_to_decomposition", "find_partition",
+    "generator_bottom_decomposition", "has_linear_quotients", "hreg_min",
+    "instance_document", "interval_members", "invariants", "is_partitionable",
+    "linear_quotients_order", "lq_decomposition", "minimalize", "pairing",
+    "parse_instance", "partition_duality_check", "proper_nonzero_ideals",
+    "random_complex", "random_quotient", "random_sq_ideal",
+    "s_to_e_decomposition", "sdepth", "sigma", "squarefree_certificate",
+    "sr_complex", "sr_ideal", "survey_exhaustive", "survey_module",
+    "survey_random", "terai_check", "theta", "theta_monomial", "tilde",
+    "tilde_ext", "to_exterior", "to_jsonable", "validate_decomposition",
+    "validate_filtration", "wedge",
+]
+
+
+def _imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, 0, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.level, node.module or ""
+
+
+def test_only_standard_library_imports():
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert len(files) >= 15
+    outside = [f"{path.name}:{line} {name}"
+               for path in files
+               for line, level, name in _imports(path)
+               if not level and name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_public_names_are_pinned():
+    assert sqstanley.__all__ == PUBLIC
+    missing = [name for name in PUBLIC if not hasattr(sqstanley, name)]
+    assert missing == []
