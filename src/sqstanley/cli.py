@@ -87,14 +87,18 @@ def _read_source(path):
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _load(path, cap_n):
+def _check_cap(parsed, cap_n):
+    """The parsed instance, once its n is within the cap."""
     cap = cap_n if cap_n is not None else DEFAULT_CAP_N
-    parsed = parse_instance(_read_source(path))
     if parsed.n > cap:
         raise CapExceededError(
             f"instance has n={parsed.n}, above the cap {cap}; "
             "raise --cap-n knowingly")
     return parsed
+
+
+def _load(path, cap_n):
+    return _check_cap(parse_instance(_read_source(path)), cap_n)
 
 
 def _as_module(parsed) -> SqQuotient:
@@ -179,11 +183,12 @@ def _filtration_document(module, filt):
     return {**instance_document(module), "filtration": to_jsonable(filt)}
 
 
-def _parse_filtration_document(text):
+def _parse_filtration_document(text, cap_n):
     obj = _load_json(text)
     if not isinstance(obj, dict) or "filtration" not in obj or "quotient" not in obj:
         raise FormatError("expected a document with 'quotient' and 'filtration'")
     spec = parse_instance({k: obj[k] for k in ("version", "n", "quotient") if k in obj})
+    _check_cap(spec, cap_n)
     n = spec.n
     module = build_quotient(spec.inner, spec.outer)
     block = obj["filtration"]
@@ -208,7 +213,7 @@ def cmd_filtration(args):
         filt = facet_peel_filtration(module)
         _emit(args, _filtration_document(module, filt))
         return 0
-    module, filt = _parse_filtration_document(_read_source(args.instance))
+    module, filt = _parse_filtration_document(_read_source(args.instance), args.cap_n)
     if args.action == "validate":
         _emit(args, {"n": module.n, "valid": validate_filtration(module, filt)})
         return 0

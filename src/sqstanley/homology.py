@@ -50,8 +50,8 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def check_char(char: int) -> None:
     """Refuse a field characteristic that is neither 0 nor a prime below
     2^64."""
-    if char != 0 and not (isinstance(char, int) and 2 <= char < 1 << 64
-                          and _is_prime(char)):
+    if not (isinstance(char, int) and not isinstance(char, bool)
+            and (char == 0 or 2 <= char < 1 << 64 and _is_prime(char))):
         raise ValueError(f"characteristic must be 0 or a prime below 2^64, got {char!r}")
 
 

@@ -22,6 +22,7 @@ from .setcalc import (
     family_word,
     full_word,
     minimal_nonface_masks,
+    minimal_sets,
     one_smaller,
     up_closure,
     word_masks,
@@ -233,26 +234,22 @@ class SqIdeal:
     gen_masks: tuple[int, ...]
 
     def __post_init__(self):
-        masks = self.gen_masks
-        if list(masks) != sorted(set(masks)):
-            raise ValueError("generator masks not sorted/deduped; use SqIdeal.of")
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a & b == a:
-                    raise ValueError("generator masks not an antichain; use SqIdeal.of")
+        masks = tuple(self.gen_masks)
+        if masks != minimal_sets(masks):
+            raise ValueError("generator masks are not a colex-sorted antichain; use SqIdeal.of")
+        # sorted, so the first and last masks bound the rest
+        for a in masks[:1] + masks[-1:]:
             if not 0 <= a < (1 << self.n):
                 raise ValueError(f"mask {a} out of range for n={self.n}")
 
     @classmethod
     def of(cls, n: int, gens: Iterable[IndexSet | int]) -> "SqIdeal":
-        masks = set()
+        masks = []
         for g in gens:
-            m = g.mask if isinstance(g, IndexSet) else g
             if isinstance(g, IndexSet) and g.n != n:
                 raise NMismatchError(f"generator over n={g.n}, expected n={n}")
-            masks.add(m)
-        minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
-        return cls(n, tuple(sorted(minimal)))
+            masks.append(g.mask if isinstance(g, IndexSet) else g)
+        return cls(n, minimal_sets(masks))
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "SqIdeal":

@@ -1,4 +1,4 @@
-"""Subsets of [n], lattice intervals, and simplicial complexes.
+"""Subsets of [n], antichains, lattice intervals, and simplicial complexes.
 
 A subset of {1, ..., n} is stored as a machine integer with bit i-1
 standing for element i.  Under that encoding colexicographic order on
@@ -14,6 +14,11 @@ element, instead of loops over the 2^n masks.  The up-closure is the
 superset zeta transform; a member of an order-convex family is maximal
 (minimal) exactly when no set one element larger (smaller) belongs to
 the family.
+
+An antichain (the generators of a squarefree ideal, the facets or
+minimal non-faces of a complex) is kept as a colex-sorted tuple of
+masks.  `minimal_sets` is the one place that extracts one from a list
+of masks; maximal sets are the complements of the minimal complements.
 """
 
 from __future__ import annotations
@@ -49,6 +54,19 @@ def submasks(mask: int) -> Iterator[int]:
         if s == mask:
             return
         s = (s - mask) & mask
+
+
+def minimal_sets(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct inclusion-minimal masks, in increasing (colex) order.
+
+    A submask sorts no later than its supermasks, so one pass keeping
+    each mask that contains no kept mask suffices.
+    """
+    kept: list[int] = []
+    for m in sorted(set(masks)):
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 def family_word(masks: Iterable[int]) -> int:
@@ -283,31 +301,28 @@ class SimplicialComplex:
 
     def __post_init__(self):
         _check_n(self.n)
-        masks = []
+        full = (1 << self.n) - 1
+        complements = []
         for f in self.facets:
             if not isinstance(f, IndexSet):
                 raise TypeError(f"facet {f!r} is not an IndexSet")
             if f.n != self.n:
                 raise NMismatchError(f"facet over n={f.n} in complex over n={self.n}")
-            masks.append(f.mask)
-        if masks != sorted(masks):
-            raise ValueError("facets not in colex order; use from_facets to normalize")
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a == b or a & b == a or a & b == b:
-                    raise ValueError("facets are not an antichain; use from_facets to normalize")
+            complements.append(full ^ f.mask)
+        if tuple(reversed(complements)) != minimal_sets(complements):
+            raise ValueError("facets are not a colex-sorted antichain; use from_facets to normalize")
 
     @classmethod
     def from_facets(cls, n: int, facets: Iterable[IndexSet | Iterable[int]]) -> "SimplicialComplex":
         """Normalize an arbitrary face list: drop dominated faces, dedupe, sort."""
-        masks = set()
+        full = IndexSet.full(n).mask
+        complements = []
         for f in facets:
             s = f if isinstance(f, IndexSet) else IndexSet.of(n, f)
             if s.n != n:
                 raise NMismatchError(f"facet over n={s.n}, expected n={n}")
-            masks.add(s.mask)
-        maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
-        return cls(n, tuple(IndexSet(n, m) for m in sorted(maximal)))
+            complements.append(full ^ s.mask)
+        return cls(n, tuple(IndexSet(n, full ^ m) for m in reversed(minimal_sets(complements))))
 
     @property
     def is_void(self) -> bool:

@@ -50,6 +50,7 @@ from .setcalc import (
     Interval,
     complement_family,
     family_word,
+    minimal_sets,
     one_larger,
     one_smaller,
     up_closure,
@@ -135,14 +136,12 @@ class SqQuotient:
     def facet_masks(self) -> tuple[int, ...]:
         """Maximal members of the support: those with no member one
         element larger, the support being order convex."""
-        below = one_smaller(self.support_word, self.n)
-        return tuple(m for m in self.support_masks() if not below >> m & 1)
+        return word_masks(self.support_word & ~one_smaller(self.support_word, self.n))
 
     def minimal_masks(self) -> tuple[int, ...]:
         """Minimal members of the support: those with no member one
         element smaller."""
-        above = one_larger(self.support_word, self.n)
-        return tuple(m for m in self.support_masks() if not above >> m & 1)
+        return word_masks(self.support_word & ~one_larger(self.support_word, self.n))
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
@@ -272,8 +271,7 @@ def associated_primes(module: SqQuotient) -> tuple[IndexSet, ...]:
     gens = module.inner.gen_masks
     found = set()
     for g in module.support_masks():
-        colon = {h & ~g for h in gens}
-        minimal = [m for m in colon if not any(o != m and o & m == o for o in colon)]
+        minimal = minimal_sets(h & ~g for h in gens)
         if all(m.bit_count() == 1 for m in minimal):
             f = 0
             for m in minimal:

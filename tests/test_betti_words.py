@@ -183,7 +183,7 @@ def test_rank_over_the_rationals_is_not_modular():
 # ---------------------------------------------------------------- characteristic
 
 @pytest.mark.parametrize("char", [1, 4, -3, 561, 2 ** 64 - 1, 2 ** 64 + 13,
-                                  3825123056546413051])
+                                  3825123056546413051, 0.0, False])
 def test_betti_refuses_a_characteristic_that_is_not_0_or_prime(char):
     module = next(iter(all_quotients(2)))
     with pytest.raises(ValueError, match=str(char)):

@@ -245,6 +245,25 @@ class TestFiltration:
         assert err.startswith("error: ")
         assert run(capsys, "sdepth", str(instance)) == (code, out, err)
 
+    @pytest.mark.parametrize("action", ["validate", "dualize"])
+    def test_documents_above_the_cap_are_refused(self, capsys, tmp_path, action):
+        # x1...x12 at n = 13, one above the default cap
+        instance = write(tmp_path, "q13.json", {
+            "n": 13, "quotient": {"inner": {"gens": []},
+                                  "outer": {"gens": [list(range(1, 13))]}}})
+        code, out, _ = run(capsys, "--cap-n", "13", "filtration", "build", instance)
+        assert code == 0
+        filt = tmp_path / "filt13.json"
+        filt.write_text(out)
+        code, out, err = run(capsys, "filtration", action, str(filt))
+        assert (code, out) == (4, "")
+        assert "n=13, above the cap 12" in err
+        code, out, _ = run(capsys, "--cap-n", "12", "filtration", action, str(filt))
+        assert code == 4
+        code, out, _ = run(capsys, "--cap-n", "20", "filtration", action, str(filt))
+        assert code == 0
+        assert json.loads(out)["n"] == 13
+
 
 class TestExterior:
     def test_theta(self, capsys, hypersurface):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,14 @@ def mono(*e):
 
 def sq(n, *masklists):
     return SqIdeal.of(n, [IndexSet.of(n, ms) for ms in masklists])
+
+
+def pairwise_sq_ideal_rule(n, masks):
+    """The all-pairs form of the raw SqIdeal rule: sorted, no repeats,
+    no nested pair, every mask in range."""
+    return masks == sorted(set(masks)) and all(
+        0 <= a < 1 << n and not any(a & b == a for b in masks[i + 1:])
+        for i, a in enumerate(masks))
 
 
 class TestMonomial:
@@ -158,6 +167,39 @@ class TestSqIdeal:
         ideal = sq(3, [1, 2])
         assert IndexSet.of(3, [1, 2, 3]) in ideal
         assert IndexSet.of(3, [1, 3]) not in ideal
+
+    @pytest.mark.parametrize("masks, message", [
+        ((2, 1), "antichain"), ((1, 1), "antichain"), ((1, 3), "antichain"),
+        ((3, 1), "antichain"), ((1, 8), "mask 8 out of range"),
+        ((-1,), "mask -1 out of range"), ((-1, 3), "mask -1 out of range"),
+        ((8,), "mask 8 out of range"),
+    ])
+    def test_raw_constructor_refuses(self, masks, message):
+        with pytest.raises(ValueError, match=message):
+            SqIdeal(3, masks)
+
+    def test_raw_constructor_accepts_a_sorted_list(self):
+        assert SqIdeal(2, [1, 2]).gen_masks == [1, 2]
+        assert SqIdeal(3, (0b011, 0b100)) == sq(3, [1, 2], [3])
+        assert SqIdeal(0, (0,)).is_unit and SqIdeal(0, ()).is_zero
+
+    def test_raw_constructor_matches_the_pairwise_rule(self):
+        # every sequence of length <= 3 over the masks of [n] and one step
+        # beyond each end, n <= 3
+        for n in range(4):
+            for length in range(4):
+                for masks in itertools.product(range(-1, (1 << n) + 1), repeat=length):
+                    try:
+                        SqIdeal(n, masks)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == pairwise_sq_ideal_rule(n, list(masks)), (n, masks)
+
+    def test_of_refuses_a_negative_mask_above_a_generator(self):
+        # -1 is no subset of [n]; it is refused, not dropped as a multiple of 3
+        with pytest.raises(ValueError, match="mask -1 out of range"):
+            SqIdeal.of(3, [-1, 3])
 
 
 class TestStanleyReisner:

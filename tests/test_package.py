@@ -1,5 +1,6 @@
 """Package-level guards: the library imports only the standard library,
-and its public names are pinned."""
+its modules import in one layered order, and its public names are
+pinned."""
 
 import ast
 import sys
@@ -55,6 +56,23 @@ def test_only_standard_library_imports():
                for line, level, name in _imports(path)
                if not level and name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# each module imports only from modules before it; the package root
+# re-exports from all of them and is not a layer
+LAYERS = ["errors", "setcalc", "ideals", "cover", "sqmod", "filtration",
+          "exterior", "homology", "linquot", "partition", "instances",
+          "formats", "survey", "cli"]
+
+
+def test_modules_import_in_layer_order():
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert sorted(p.stem for p in files) == sorted(LAYERS + ["__init__"])
+    upward = [f"{path.name}:{line} {name}"
+              for path in files if path.stem != "__init__"
+              for line, level, name in _imports(path)
+              if level and LAYERS.index(name) >= LAYERS.index(path.stem)]
+    assert upward == []
 
 
 def test_public_names_are_pinned():

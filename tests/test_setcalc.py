@@ -11,6 +11,7 @@ from sqstanley.setcalc import (
     alexander_dual,
     interval_members,
     minimal_nonface_masks,
+    minimal_sets,
     sigma,
     sigma_masks,
     submasks,
@@ -159,10 +160,12 @@ class TestSimplicialComplex:
         assert iset(3, 2, 3) in cx
 
     def test_raw_constructor_validates(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex(3, (iset(3, 1, 2), iset(3, 1)))
-        with pytest.raises(ValueError):
-            SimplicialComplex(3, (iset(3, 2), iset(3, 1)))
+        for facets in ((iset(3, 1, 2), iset(3, 1)), (iset(3, 2), iset(3, 1)),
+                       (iset(3, 1), iset(3, 1)), (iset(3, 1), iset(3, 1, 2)),
+                       (iset(3, 1, 2), iset(3, 3), iset(3, 1, 3))):
+            with pytest.raises(ValueError, match="antichain"):
+                SimplicialComplex(3, facets)
+        assert SimplicialComplex(3, [iset(3, 1, 2), iset(3, 3)]).facet_masks() == (0b011, 0b100)
         with pytest.raises(NMismatchError):
             SimplicialComplex(3, (iset(2, 1),))
 
@@ -200,6 +203,70 @@ class TestAlexanderDual:
         assert all(f in big for f in small.faces())
         ds, db = alexander_dual(small), alexander_dual(big)
         assert all(f in ds for f in db.faces())
+
+
+def pairwise_minimal(masks):
+    """The all-pairs filter that minimal_sets replaced."""
+    family = set(masks)
+    return tuple(sorted(m for m in family if not any(o != m and o & m == o for o in family)))
+
+
+def pairwise_maximal(masks):
+    """The all-pairs filter that from_facets used before minimal_sets."""
+    family = set(masks)
+    return tuple(sorted(m for m in family if not any(m != o and m & o == m for o in family)))
+
+
+def pairwise_complex_rule(masks):
+    """The all-pairs form of the raw SimplicialComplex rule: colex
+    order, no repeats, no nested pair."""
+    return masks == sorted(masks) and not any(
+        a == b or a & b == a or a & b == b
+        for i, a in enumerate(masks) for b in masks[i + 1:])
+
+
+# lists over [n] with repeats, the empty set and the full set drawn often
+mask_lists = st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.one_of(st.sampled_from([0, (1 << n) - 1]),
+                       st.integers(min_value=0, max_value=(1 << n) - 1)), max_size=14)
+    .flatmap(lambda ms: st.permutations(ms + ms[:len(ms) // 3]))))
+
+
+class TestMinimalSets:
+    @given(mask_lists)
+    def test_matches_the_pairwise_filter(self, nm):
+        _, masks = nm
+        assert minimal_sets(masks) == pairwise_minimal(masks)
+        assert minimal_sets(iter(masks)) == minimal_sets(reversed(masks))
+
+    @given(mask_lists)
+    def test_maximal_sets_by_complement(self, nm):
+        n, masks = nm
+        full = (1 << n) - 1
+        by_complement = tuple(full ^ m for m in reversed(minimal_sets(full ^ m for m in masks)))
+        assert by_complement == pairwise_maximal(masks)
+        cx = SimplicialComplex.from_facets(n, [IndexSet(n, m) for m in masks])
+        assert cx.facet_masks() == pairwise_maximal(masks)
+
+    def test_small_values(self):
+        assert minimal_sets([]) == ()
+        assert minimal_sets([0b111, 0, 0b101, 0]) == (0,)
+        assert minimal_sets([0b111, 0b110, 0b011, 0b110]) == (0b011, 0b110)
+        assert minimal_sets([0b100, 0b001, 0b010]) == (0b001, 0b010, 0b100)
+
+    def test_complex_constructor_matches_the_pairwise_rule(self):
+        # every facet sequence of length <= 3 over [n], n <= 3
+        for n in range(4):
+            for length in range(4):
+                for masks in itertools.product(range(1 << n), repeat=length):
+                    facets = tuple(IndexSet(n, m) for m in masks)
+                    try:
+                        SimplicialComplex(n, facets)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == pairwise_complex_rule(list(masks)), (n, masks)
 
 
 def test_materialization_guard():

@@ -4,6 +4,7 @@ import pytest
 
 from sqstanley.cover import first_interval_partition
 from sqstanley.errors import NonSquarefreeError, ZeroModuleError
+from sqstanley.instances import all_quotients
 from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
 from sqstanley.setcalc import IndexSet, Interval, family_word
 from sqstanley.sqmod import (
@@ -308,6 +309,36 @@ class TestAssociatedPrimes:
         m = ring_mod([0b011, 0b101, 0b110], 3)
         got = {p.mask for p in associated_primes(m)}
         assert got == {0b110, 0b101, 0b011}
+
+
+def pairwise_associated_primes(module):
+    """associated_primes as it was before minimal_sets: an all-pairs
+    filter of each colon set."""
+    gens = module.inner.gen_masks
+    found = set()
+    for g in module.support_masks():
+        colon = {h & ~g for h in gens}
+        minimal = [m for m in colon if not any(o != m and o & m == o for o in colon)]
+        if all(m.bit_count() == 1 for m in minimal):
+            f = 0
+            for m in minimal:
+                f |= m
+            found.add(f)
+    return tuple(sorted(found))
+
+
+def test_antichain_readers_match_the_pairwise_loops():
+    modules = [m for n in range(5) for m in all_quotients(n)]
+    modules += [dualize_quotient(m) for m in modules]
+    assert len(modules) == 2 * (1 + 7578)
+    for module in modules:
+        assert tuple(p.mask for p in associated_primes(module)) \
+            == pairwise_associated_primes(module), module
+        support = module.support_masks()
+        assert module.facet_masks() == tuple(
+            m for m in support if not any(m != o and m & o == m for o in support)), module
+        assert module.minimal_masks() == tuple(
+            m for m in support if not any(m != o and m & o == o for o in support)), module
 
 
 def _random_module(rng, n):
