@@ -226,6 +226,13 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
+def _check_mask(n: int, mask: int) -> int:
+    """The mask, if it is a subset of [n]; ValueError otherwise."""
+    if not 0 <= mask < (1 << n):
+        raise ValueError(f"mask {mask} out of range for n={n}")
+    return mask
+
+
 @dataclass(frozen=True)
 class SqIdeal:
     """A squarefree monomial ideal by its generator support masks."""
@@ -239,8 +246,7 @@ class SqIdeal:
             raise ValueError("generator masks are not a colex-sorted antichain; use SqIdeal.of")
         # sorted, so the first and last masks bound the rest
         for a in masks[:1] + masks[-1:]:
-            if not 0 <= a < (1 << self.n):
-                raise ValueError(f"mask {a} out of range for n={self.n}")
+            _check_mask(self.n, a)
 
     @classmethod
     def of(cls, n: int, gens: Iterable[IndexSet | int]) -> "SqIdeal":
@@ -248,7 +254,9 @@ class SqIdeal:
         for g in gens:
             if isinstance(g, IndexSet) and g.n != n:
                 raise NMismatchError(f"generator over n={g.n}, expected n={n}")
-            masks.append(g.mask if isinstance(g, IndexSet) else g)
+            masks.append(g.mask if isinstance(g, IndexSet) else _check_mask(n, g))
+        # every input is checked: minimal_sets would drop an out-of-range
+        # mask that contains another one
         return cls(n, minimal_sets(masks))
 
     @classmethod

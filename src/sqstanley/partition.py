@@ -49,7 +49,7 @@ def find_partition(cx: SimplicialComplex):
     """A partition of the complex with facet tops, as a Stanley
     decomposition of its face ring, or None."""
     module = face_ring(cx)
-    return _checked(module, _cover(module, cx.facet_masks()), "facet-top")
+    return _checked(module, _cover(module.support_word, cx.facet_masks()), "facet-top")
 
 
 def is_partitionable(cx: SimplicialComplex) -> bool:
@@ -59,7 +59,8 @@ def is_partitionable(cx: SimplicialComplex) -> bool:
 def generator_bottom_decomposition(module: SqQuotient):
     """A decomposition whose bottoms are minimal support members, or None."""
     gens = set(module.minimal_masks())
-    return _checked(module, _cover(module, module.support_masks(), gens.__contains__),
+    return _checked(module,
+                    _cover(module.support_word, module.support_masks(), gens.__contains__),
                     "generator-bottom")
 
 

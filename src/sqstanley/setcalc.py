@@ -96,10 +96,16 @@ def complement_family(word: int, n: int) -> int:
 @lru_cache(maxsize=8)
 def _element_steps(n: int) -> tuple[tuple[int, int], ...]:
     """For each bit j < n: the shift 2^j that sets it in a mask, and the
-    word of the masks lacking it."""
-    full = full_word(n)
-    return tuple((step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1))
-                 for step in (1 << j for j in range(n)))
+    word of the masks lacking it.  That word is a block of 2^j ones
+    repeated with period 2^(j+1); it is built by doubling the block."""
+    steps = []
+    for step in (1 << j for j in range(n)):
+        lacking, width = (1 << step) - 1, step << 1
+        while width < 1 << n:
+            lacking |= lacking << width
+            width <<= 1
+        steps.append((step, lacking))
+    return tuple(steps)
 
 
 def up_closure(word: int, n: int) -> int:

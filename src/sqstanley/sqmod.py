@@ -16,9 +16,18 @@ cover searches for sdepth and hreg start from it.
 sdepth and hreg_min walk from a bound read off the facets or minimal
 members toward the answer.  Before each search, the number of support
 members on each level must pass an exact counting test; a size it
-rules out has no partition, so its search is skipped.  Every cover
-search, partition's included, is a gate over one helper, `_cover`, and
-only the public sdepth and hreg_min turn its pairs into a witness.
+rules out has no partition, so its search is skipped.  Each search
+runs in the level normal form.  To decide sdepth >= k it covers only
+the members of size at most k, with every top on level k, and makes
+each member above level k its own interval; Herzog-Vladoiu-Zheng show
+that a partition with tops of size at least k exists exactly when this
+one does.  Alexander duality takes the interval [b, t] to
+[complement of t, complement of b], so hreg <= h is decided on the
+members of size at least h, with every bottom on level h, and each
+member below level h its own interval.  The hreg search still runs on
+the module itself.  Every cover search, partition's included, is a
+gate over one helper, `_cover`, and only the public sdepth and
+hreg_min turn its pairs into a witness.
 
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
@@ -347,9 +356,10 @@ def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
                 for iv in dec.intervals))
 
 
-def _cover(module, tops, bottom_ok=None):
-    """The first partition of the support with every top in `tops` and
-    every bottom passing bottom_ok, as (bottom, top) mask pairs, or None.
+def _cover(support, tops, bottom_ok=None):
+    """The first partition of the family word `support` with every top
+    in `tops` and every bottom passing bottom_ok, as (bottom, top) mask
+    pairs, or None.
 
     Tops are tried largest first, then by mask.  A bottom's candidate
     list (empty when bottom_ok refuses it) is built on its first visit
@@ -365,17 +375,41 @@ def _cover(module, tops, bottom_ok=None):
                               if bottom_ok is None or bottom_ok(e) else ())
         return got
 
-    return first_interval_partition(module.support_word, tops_for)
+    return first_interval_partition(support, tops_for)
 
 
 def _cover_min_top(module, k):
-    """A partition with every top of size at least k, if one exists."""
-    return _cover(module, [t for t in module.support_masks() if t.bit_count() >= k])
+    """A partition with every top of size at least k, if one exists.
+
+    The search runs in the level normal form: on the support members of
+    size at most k, with every top on level k; each member above level
+    k is then its own interval.  Nothing is lost.  In a partition with
+    tops of size at least k, an interval [b, t] with |b| <= k meets the
+    levels up to k in a boolean interval cut at its k-th level, and
+    such a cut splits into intervals with tops of size exactly k
+    (Herzog-Vladoiu-Zheng); the members above level k need no top.
+    """
+    low, high = [], []
+    for m in module.support_masks():
+        (low if m.bit_count() <= k else high).append(m)
+    found = _cover(family_word(low), [t for t in low if t.bit_count() == k])
+    return None if found is None else found + [(m, m) for m in high]
 
 
 def _cover_max_bottom(module, h):
-    """A partition with every bottom of size at most h, if one exists."""
-    return _cover(module, module.support_masks(), lambda e: e.bit_count() <= h)
+    """A partition with every bottom of size at most h, if one exists.
+
+    The mirror of `_cover_min_top` under Alexander duality, where the
+    interval [b, t] becomes [complement of t, complement of b]: the
+    search runs on the support members of size at least h, with every
+    bottom on level h, and each member below level h is then its own
+    interval.  It runs on the module itself, not on its dual.
+    """
+    low, high = [], []
+    for m in module.support_masks():
+        (low if m.bit_count() < h else high).append(m)
+    found = _cover(family_word(high), high, lambda e: e.bit_count() == h)
+    return None if found is None else found + [(m, m) for m in low]
 
 
 def _level_counts(module) -> list[int]:
@@ -416,8 +450,9 @@ def _sdepth_walk(module: SqQuotient) -> tuple[int, list]:
     support bounds it above (a maximal support member can only be the
     top of its own interval).  Walking down from that bound, each size
     the level counts rule out is skipped, and the first size whose
-    search succeeds is the Stanley depth; that search's partition is
-    the witness.  The test never rules out size 0 (singletons).
+    search succeeds is the Stanley depth; that search's partition, in
+    the level normal form of `_cover_min_top`, is the witness.  The
+    test never rules out size 0 (singletons).
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no Stanley depth")
@@ -438,9 +473,10 @@ def _hreg_walk(module: SqQuotient) -> tuple[int, list]:
     largest size is a lower bound; singleton intervals realize n.
     Walking up from the bound, each size the reversed level counts rule
     out is skipped, and the first size whose search succeeds is the
-    answer, with that search's partition as the witness; size n
-    (singletons) is never ruled out.  The search runs on the module
-    itself, never taken from the dual's sdepth.
+    answer, with that search's partition, in the level normal form of
+    `_cover_max_bottom`, as the witness; size n (singletons) is never
+    ruled out.  The search runs on the module itself, never taken from
+    the dual's sdepth.
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no decompositions")

@@ -1,10 +1,13 @@
-"""The one gated cover search against the four gates it replaced.
+"""The one gated cover search against the gates it replaced.
 
 Each `ref_*` below is a `tops_for` closure as it stood when sdepth,
 hreg_min, find_partition and generator_bottom_decomposition each wrote
-their own gate.  The shared gate must run one search per call and
-offer the same tops at every node, so the pair lists (None included)
-are the same.  The last tests pin that the value-only callers build no
+their own gate.  The two partition gates must run one search per call
+and offer the same tops at every node, so their pair lists (None
+included) are the same.  The sdepth and hreg gates search the level
+normal form instead; the old closures stay as oracles for whether a
+partition exists, and the pairs are checked to be a partition in that
+normal form.  The last tests pin that the value-only callers build no
 witness.
 """
 
@@ -19,7 +22,7 @@ from sqstanley.cover import first_interval_partition
 from sqstanley.homology import depth_duality_check
 from sqstanley.instances import all_complexes, all_quotients, random_complex
 from sqstanley.partition import face_ring, find_partition, generator_bottom_decomposition
-from sqstanley.setcalc import Interval
+from sqstanley.setcalc import Interval, submasks
 from sqstanley.sqmod import dualize_quotient
 from sqstanley.survey import survey_module
 
@@ -112,14 +115,40 @@ def same(monkeypatch):
     return check
 
 
+def in_normal_form(pairs, k):
+    """Every interval with a bottom of size at most k has its top on
+    level k; every other interval is a single set."""
+    return all(t.bit_count() == k if b.bit_count() <= k else b == t for b, t in pairs)
+
+
+def check_gate(module, pairs, reference):
+    """The gate finds a partition exactly when the oracle does, and its
+    intervals split the support, each member in exactly one; returns
+    the pairs."""
+    assert (pairs is None) == (first_interval_partition(*reference) is None)
+    if pairs is not None:
+        assert all(b & ~t == 0 for b, t in pairs)
+        members = sorted(b | s for b, t in pairs for s in submasks(t & ~b))
+        assert members == list(module.support_masks())
+    return pairs
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_module_gates(same, n):
+    full = (1 << n) - 1
     found = []
     for module in all_quotients(n):
         for m in (module, dualize_quotient(module)):
             for k in range(n + 1):
-                found.append(same(lambda: sqmod._cover_min_top(m, k), ref_min_top(m, k)))
-                found.append(same(lambda: sqmod._cover_max_bottom(m, k), ref_max_bottom(m, k)))
+                pairs = check_gate(m, sqmod._cover_min_top(m, k), ref_min_top(m, k))
+                assert pairs is None or in_normal_form(pairs, k)
+                found.append(pairs)
+                # [b, t] -> [complement of t, complement of b] takes
+                # bottoms of size at most k to tops of size at least n - k
+                pairs = check_gate(m, sqmod._cover_max_bottom(m, k), ref_max_bottom(m, k))
+                assert pairs is None or in_normal_form(
+                    [(full ^ t, full ^ b) for b, t in pairs], n - k)
+                found.append(pairs)
             found.append(same(lambda: generator_bottom_decomposition(m),
                               ref_generator_bottoms(m)))
     assert None in found

@@ -10,7 +10,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqstanley import sqmod
+from sqstanley import setcalc, sqmod
 from sqstanley.errors import CapExceededError
 from sqstanley.filtration import facet_peel_filtration
 from sqstanley.ideals import SqIdeal, sr_complex, tilde
@@ -140,6 +140,15 @@ class TestWords:
         assert word_masks(one_larger(w, 2)) == (0b11,)
         assert word_masks(one_smaller(w, 2)) == (0b00,)
         assert up_closure(1, 0) == 1
+
+    def test_element_steps_match_the_division_formula(self):
+        # the lacking-bit words as they were built before, by big-int
+        # division of the full word
+        for n in range(21):
+            full = full_word(n)
+            assert setcalc._element_steps(n) == tuple(
+                (step, full // ((1 << (step << 1)) - 1) * ((1 << step) - 1))
+                for step in (1 << j for j in range(n)))
 
     @given(st.integers(min_value=0, max_value=7), st.data())
     def test_closures_match_sweeps(self, n, data):

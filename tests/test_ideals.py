@@ -184,17 +184,26 @@ class TestSqIdeal:
         assert SqIdeal(0, (0,)).is_unit and SqIdeal(0, ()).is_zero
 
     def test_raw_constructor_matches_the_pairwise_rule(self):
-        # every sequence of length <= 3 over the masks of [n] and one step
-        # beyond each end, n <= 3
+        # every sequence of length <= 3 over the masks of [n] and two steps
+        # beyond the top, one below, n <= 3; SqIdeal.of takes the same
+        # sequences and refuses each one with a mask out of range, also
+        # when that mask contains another, as 2^n + 1 contains 1
         for n in range(4):
             for length in range(4):
-                for masks in itertools.product(range(-1, (1 << n) + 1), repeat=length):
+                for masks in itertools.product(range(-1, (1 << n) + 2), repeat=length):
                     try:
                         SqIdeal(n, masks)
                         accepted = True
                     except ValueError:
                         accepted = False
                     assert accepted == pairwise_sq_ideal_rule(n, list(masks)), (n, masks)
+                    if all(0 <= m < 1 << n for m in masks):
+                        minimal = [m for m in sorted(set(masks))
+                                   if not any(k != m and k & ~m == 0 for k in masks)]
+                        assert SqIdeal.of(n, masks).gen_masks == tuple(minimal), (n, masks)
+                    else:
+                        with pytest.raises(ValueError, match="out of range"):
+                            SqIdeal.of(n, masks)
 
     def test_of_refuses_a_negative_mask_above_a_generator(self):
         # -1 is no subset of [n]; it is refused, not dropped as a multiple of 3

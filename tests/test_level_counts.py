@@ -4,6 +4,8 @@ The mirror test on a module is the direct test on its dual, so the
 survey's check hreg_min == n - sdepth(dual) cannot catch a test that
 wrongly rejects a feasible size.  Here the test is held against the
 search itself: every size it rejects must be one the search fails on.
+The last tests run the searches on modules that finished only once
+each probe searched its level normal form.
 """
 
 import math
@@ -11,7 +13,9 @@ import math
 import pytest
 
 from sqstanley import sqmod
+from sqstanley.ideals import SqIdeal
 from sqstanley.instances import all_quotients
+from sqstanley.setcalc import IndexSet
 from sqstanley.sqmod import (
     SqQuotient,
     dualize_quotient,
@@ -62,4 +66,31 @@ def test_hreg_on_the_hard_n6_bands(d, e):
     h, dec = hreg_min(module)
     assert h == 6 - sdepth(band(6, 6 - e, 6 - d))[0]
     assert dec.hreg == h
+    assert validate_decomposition(module, dec)
+
+
+@pytest.mark.parametrize("n, outer, inner, h", [
+    # the face ring S/(x1x3x4x6, x2x5x6); its one feasible probe took 78 s
+    (6, [[]], [[1, 3, 4, 6], [2, 5, 6]], 2),
+    # no answer within 10 s from either search before
+    (7, [[1, 2, 3, 4], [5]], [[1, 2, 3, 4, 6, 7], [2, 5, 6, 7]], 5),
+])
+def test_hreg_against_the_dual_sdepth(n, outer, inner, h):
+    def ideal(gens):
+        return SqIdeal.of(n, [IndexSet.of(n, g) for g in gens])
+
+    module = SqQuotient(n, ideal(inner), ideal(outer))
+    dual = dualize_quotient(module)
+    got, dec = hreg_min(module)
+    s, sdec = sdepth(dual)
+    assert got == h == n - s
+    assert dec.hreg == h and validate_decomposition(module, dec)
+    assert sdec.sdepth == s and validate_decomposition(dual, sdec)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sdepth_of_the_maximal_ideal(n):
+    module = band(n, 1, n)
+    k, dec = sdepth(module)
+    assert k == dec.sdepth == -(-n // 2)
     assert validate_decomposition(module, dec)
