@@ -26,7 +26,7 @@ def _sign(count: int) -> int:
     return -1 if count % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtElement:
     """An exterior algebra element as a sparse integer combination of e_F.
 
@@ -122,7 +122,7 @@ def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement.of(a.n, acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtQuotientModule:
     """The exterior counterpart of a squarefree quotient.
 
@@ -253,7 +253,7 @@ def dual_functional_image(emod: ExtQuotientModule, phi: ExtElement) -> ExtElemen
     return ExtElement.of(emod.n, comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EPiece:
     """One summand of an exterior decomposition: the class of e_start
     times the subalgebra on the free variables."""
@@ -276,7 +276,7 @@ class EPiece:
         return f"({self.start}, {self.free})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EDecomposition:
     n: int
     pieces: tuple[EPiece, ...]

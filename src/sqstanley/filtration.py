@@ -25,7 +25,7 @@ from .sqmod import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiltrationStep:
     """One step: adjoin x_degree, with step quotient S/P_prime(-degree)."""
 
@@ -49,7 +49,7 @@ class FiltrationStep:
         return f"({self.degree}, {self.prime})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeFiltration:
     n: int
     base: SqIdeal
@@ -86,8 +86,9 @@ def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
 
     For any generating set of the current ideal, (cur : x_G) is
     generated by the sets H minus G, so it equals P_F exactly when each
-    of those meets F and each j in F is one of them.  The chain is kept
-    as its growing, unminimized generator list.
+    of those meets F and the singletons among them cover F; a singleton
+    that meets F lies in F.  The chain is kept as its growing,
+    unminimized generator list.
     """
     if module.n != filt.n:
         raise NMismatchError(f"filtration over n={filt.n} for module over n={module.n}")
@@ -96,10 +97,14 @@ def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
     gens = list(filt.base.gen_masks)
     for s in filt.steps:
         g, f = s.degree.mask, s.prime.mask
-        colon = {h & ~g for h in gens}
-        if any(not c & f for c in colon):
-            return False
-        if any(1 << j not in colon for j in range(filt.n) if f >> j & 1):
+        singletons = 0
+        for h in gens:
+            c = h & ~g
+            if not c & f:
+                return False
+            if c & (c - 1) == 0:
+                singletons |= c
+        if singletons != f:
             return False
         gens.append(g)
     return filt.final_ideal() == module.outer

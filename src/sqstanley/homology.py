@@ -117,7 +117,7 @@ def _rank(rows, char):
     return len(pivots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTable:
     """Nonzero multigraded Betti numbers as (level, degree mask, value)."""
 
@@ -202,7 +202,7 @@ def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
     return BettiTable(n, char, tuple(sorted(entries)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantReport:
     n: int
     char: int
@@ -251,7 +251,7 @@ def invariants(module: SqQuotient, char: int = DEFAULT_CHAR) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeraiRecord:
     """Projective dimension of a module against regularity of its dual."""
 
@@ -274,7 +274,7 @@ def terai_check(module: SqQuotient, char: int = DEFAULT_CHAR) -> TeraiRecord:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EagonReinerRecord:
     """Cohen-Macaulayness of a complex against linearity of the dual ideal."""
 
@@ -307,7 +307,7 @@ def eagon_reiner_check(cx: SimplicialComplex, char: int = DEFAULT_CHAR) -> Eagon
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepthDualityRecord:
     """Stanley depth against depth, seen through the dual module.
 

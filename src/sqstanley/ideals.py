@@ -31,7 +31,7 @@ from .setcalc import (
 MAX_EXPONENT = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A monomial x^a as its exponent tuple; the empty monomial is 1."""
 
@@ -137,7 +137,7 @@ def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal by its canonical minimal generating set."""
 
@@ -233,7 +233,7 @@ def _check_mask(n: int, mask: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SqIdeal:
     """A squarefree monomial ideal by its generator support masks."""
 
@@ -287,7 +287,10 @@ class SqIdeal:
         return not self.is_unit
 
     def contains_mask(self, mask: int) -> bool:
-        return any(g & ~mask == 0 for g in self.gen_masks)
+        for g in self.gen_masks:
+            if g & ~mask == 0:
+                return True
+        return False
 
     def member_word(self) -> int:
         """The squarefree members as a family word: the up-closure of the

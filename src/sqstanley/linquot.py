@@ -24,7 +24,7 @@ from .setcalc import Interval, IndexSet
 from .sqmod import SqQuotient, StanleyDecomposition, validate_decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearQuotientsOrder:
     """A witness ordering together with the colon variables of each step."""
 

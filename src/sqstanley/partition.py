@@ -64,7 +64,7 @@ def generator_bottom_decomposition(module: SqQuotient):
                     "generator-bottom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionabilityRecord:
     """Both sides of the partitionability duality, plus CM for context;
     partition is the one the check found, or None."""

@@ -64,7 +64,10 @@ def minimal_sets(masks: Iterable[int]) -> tuple[int, ...]:
     """
     kept: list[int] = []
     for m in sorted(set(masks)):
-        if not any(k & ~m == 0 for k in kept):
+        for k in kept:
+            if k & ~m == 0:
+                break
+        else:
             kept.append(m)
     return tuple(kept)
 
@@ -153,7 +156,7 @@ def cone_word(word: int, n: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSet:
     """A subset of {1, ..., n}; ordering between IndexSets is colex."""
 
@@ -250,7 +253,7 @@ def sigma(g: IndexSet, f: IndexSet) -> int:
     return sigma_masks(g.mask, f.mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """The Boolean-lattice interval [bottom, top] = {H : bottom <= H <= top}."""
 
@@ -292,7 +295,7 @@ def interval_members(bottom: IndexSet, top: IndexSet) -> tuple[IndexSet, ...]:
     return Interval(bottom, top).members()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     """A simplicial complex on vertex set [n], stored by its facets.
 

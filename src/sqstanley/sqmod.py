@@ -78,6 +78,9 @@ class SqQuotient:
     are the same module when their supports agree.  The zero module
     (inner equal to outer) is representable, but the decomposition and
     depth routines reject it.
+
+    Unlike the package's other value objects it is not slotted: the
+    support word and its masks are cached per instance in its __dict__.
     """
 
     n: int
@@ -156,7 +159,7 @@ class SqQuotient:
         return f"{self.outer}/{self.inner}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SquarefreeCertificate:
     """Outcome of the squarefreeness test for a quotient of monomial ideals.
 
@@ -289,7 +292,7 @@ def associated_primes(module: SqQuotient) -> tuple[IndexSet, ...]:
     return tuple(IndexSet(module.n, f) for f in sorted(found))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StanleyDecomposition:
     """An interval partition of a module's support.
 

@@ -29,7 +29,7 @@ from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
 EXHAUSTIVE_CAP = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyRecord:
     n: int
     inner: tuple[int, ...]

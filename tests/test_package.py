@@ -3,6 +3,10 @@ its modules import in one layered order, and its public names are
 pinned."""
 
 import ast
+import copy
+import dataclasses
+import importlib
+import pickle
 import sys
 from pathlib import Path
 
@@ -79,3 +83,69 @@ def test_public_names_are_pinned():
     assert sqstanley.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(sqstanley, name)]
     assert missing == []
+
+
+def _one_of_each():
+    """One instance of every value dataclass, keyed by class name."""
+    cx = sqstanley.SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    module = sqstanley.face_ring(cx)
+    filt = sqstanley.facet_peel_filtration(module)
+    _, dec = sqstanley.sdepth(module)
+    edec = sqstanley.s_to_e_decomposition(dec)
+    x1, x2 = sqstanley.Monomial.of(1, 0, 0), sqstanley.Monomial.of(0, 1, 0)
+    return {
+        "IndexSet": sqstanley.IndexSet.of(3, [1, 3]),
+        "Interval": dec.intervals[-1],
+        "SimplicialComplex": cx,
+        "Monomial": sqstanley.Monomial.of(2, 0, 1),
+        "MonomialIdeal": sqstanley.MonomialIdeal.of(3, [x1, x2]),
+        "SqIdeal": module.inner,
+        "SquarefreeCertificate": sqstanley.squarefree_certificate(
+            sqstanley.MonomialIdeal.zero(3), sqstanley.MonomialIdeal.of(3, [x1])),
+        "StanleyDecomposition": dec,
+        "FiltrationStep": filt.steps[0],
+        "PrimeFiltration": filt,
+        "ExtElement": sqstanley.ExtElement(3, ((1, 2), (5, -1))),
+        "ExtQuotientModule": sqstanley.to_exterior(module),
+        "EPiece": edec.pieces[-1],
+        "EDecomposition": edec,
+        "BettiTable": sqstanley.betti(module),
+        "InvariantReport": sqstanley.invariants(module),
+        "TeraiRecord": sqstanley.terai_check(module),
+        "EagonReinerRecord": sqstanley.eagon_reiner_check(cx),
+        "DepthDualityRecord": sqstanley.depth_duality_check(module),
+        "LinearQuotientsOrder": sqstanley.linear_quotients_order(module.inner),
+        "PartitionabilityRecord": sqstanley.partition_duality_check(cx),
+        "SurveyRecord": sqstanley.survey_module(module),
+    }
+
+
+def _package_dataclasses():
+    found = {}
+    for layer in LAYERS:
+        mod = importlib.import_module(f"sqstanley.{layer}")
+        for obj in vars(mod).values():
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type) and obj.__module__ == mod.__name__:
+                found[obj.__name__] = obj
+    return found
+
+
+def test_value_objects_are_slotted():
+    # SqQuotient caches its support word per instance, so it keeps a __dict__
+    classes = _package_dataclasses()
+    assert "__slots__" not in vars(classes.pop("SqQuotient"))
+    instances = _one_of_each()
+    assert sorted(instances) == sorted(classes)
+    for name, obj in instances.items():
+        assert type(obj) is classes[name]
+        assert "__slots__" in vars(classes[name]), name
+        assert not hasattr(obj, "__dict__"), name
+
+
+def test_value_objects_survive_pickle_and_deepcopy():
+    # the survey's worker pool pickles its records
+    for name, obj in _one_of_each().items():
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(twin) is type(obj), name
+            assert twin == obj, name
+            assert hash(twin) == hash(obj), name

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from sqstanley.ideals import SqIdeal
 from sqstanley.instances import random_quotient
 from sqstanley.sqmod import SqQuotient
 from sqstanley.survey import (
-    SurveyRecord,
     counterexamples,
     survey_exhaustive,
     survey_module,
@@ -80,5 +80,5 @@ class TestSweeps:
 
     def test_counterexample_filter(self):
         rec = survey_module(ring_mod([0b11], 2))
-        fake = SurveyRecord(**{**rec.__dict__, "sdepth": rec.depth - 1})
+        fake = dataclasses.replace(rec, sdepth=rec.depth - 1)
         assert counterexamples([rec, fake]) == [fake]
