@@ -9,7 +9,12 @@ Its bottom lies below that set, belongs to the family, and is still
 uncovered, so it sorts no later; minimality forces equality.  Bottoms
 are therefore never guessed, only tops, and each partition is reachable
 along exactly one search path.  The search has one caller, the gate
-helper in sqmod, through which every consumer runs.
+helper in sqmod, through which every consumer runs.  A search that
+should force tops instead (decompositions with bounded bottoms) runs
+on the complements of the family: complementing turns the smallest
+uncovered complement into the largest uncovered set, and [b, t] into
+[complement of t, complement of b], so the search needs no second
+direction.
 
 The search state is the uncovered part of the support as a family word
 (see setcalc): the forced bottom is its lowest set bit, an interval

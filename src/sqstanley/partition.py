@@ -60,7 +60,7 @@ def generator_bottom_decomposition(module: SqQuotient):
     """A decomposition whose bottoms are minimal support members, or None."""
     gens = set(module.minimal_masks())
     return _checked(module,
-                    _cover(module.support_word, module.support_masks(), gens.__contains__),
+                    _cover(module.support_word, module.support_masks(), gens),
                     "generator-bottom")
 
 

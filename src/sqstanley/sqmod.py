@@ -24,10 +24,13 @@ that a partition with tops of size at least k exists exactly when this
 one does.  Alexander duality takes the interval [b, t] to
 [complement of t, complement of b], so hreg <= h is decided on the
 members of size at least h, with every bottom on level h, and each
-member below level h its own interval.  The hreg search still runs on
-the module itself.  Every cover search, partition's included, is a
-gate over one helper, `_cover`, and only the public sdepth and
-hreg_min turn its pairs into a witness.
+member below level h its own interval.  That search runs on the
+complements of those members, read off the module's own support: the
+engine then forces the largest uncovered member as a top and guesses
+only bottoms on level h, mirroring the sdepth search on the dual
+support.  Every cover search, partition's included, is a gate over one
+helper, `_cover`, and only the public sdepth and hreg_min turn its
+pairs into a witness.
 
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
@@ -359,14 +362,14 @@ def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
                 for iv in dec.intervals))
 
 
-def _cover(support, tops, bottom_ok=None):
+def _cover(support, tops, bottoms=None):
     """The first partition of the family word `support` with every top
-    in `tops` and every bottom passing bottom_ok, as (bottom, top) mask
-    pairs, or None.
+    in `tops` and, when the set `bottoms` is given, every bottom in it,
+    as (bottom, top) mask pairs, or None.
 
     Tops are tried largest first, then by mask.  A bottom's candidate
-    list (empty when bottom_ok refuses it) is built on its first visit
-    and reused, so each search node costs one dict lookup.
+    list (empty for a bottom outside `bottoms`) is built on its first
+    visit and reused, so each search node costs one dict lookup.
     """
     order = sorted(tops, key=lambda t: (-t.bit_count(), t))
     cache = {}
@@ -375,44 +378,52 @@ def _cover(support, tops, bottom_ok=None):
         got = cache.get(e)
         if got is None:
             got = cache[e] = ([t for t in order if t & e == e]
-                              if bottom_ok is None or bottom_ok(e) else ())
+                              if bottoms is None or e in bottoms else ())
         return got
 
     return first_interval_partition(support, tops_for)
 
 
-def _cover_min_top(module, k):
-    """A partition with every top of size at least k, if one exists.
+def _level_cover(masks, k):
+    """A partition of the family `masks` with every top of size at
+    least k, if one exists, in the level normal form.
 
-    The search runs in the level normal form: on the support members of
-    size at most k, with every top on level k; each member above level
-    k is then its own interval.  Nothing is lost.  In a partition with
-    tops of size at least k, an interval [b, t] with |b| <= k meets the
-    levels up to k in a boolean interval cut at its k-th level, and
-    such a cut splits into intervals with tops of size exactly k
-    (Herzog-Vladoiu-Zheng); the members above level k need no top.
+    The search covers only the members of size at most k, with every
+    top on level k; each member above level k is then its own interval.
+    Nothing is lost.  In a partition with tops of size at least k, an
+    interval [b, t] with |b| <= k meets the levels up to k in a boolean
+    interval cut at its k-th level, and such a cut splits into
+    intervals with tops of size exactly k (Herzog-Vladoiu-Zheng); the
+    members above level k need no top.
     """
     low, high = [], []
-    for m in module.support_masks():
+    for m in masks:
         (low if m.bit_count() <= k else high).append(m)
     found = _cover(family_word(low), [t for t in low if t.bit_count() == k])
     return None if found is None else found + [(m, m) for m in high]
 
 
+def _cover_min_top(module, k):
+    """A partition with every top of size at least k, if one exists,
+    in the level normal form of `_level_cover`."""
+    return _level_cover(module.support_masks(), k)
+
+
 def _cover_max_bottom(module, h):
     """A partition with every bottom of size at most h, if one exists.
 
-    The mirror of `_cover_min_top` under Alexander duality, where the
-    interval [b, t] becomes [complement of t, complement of b]: the
-    search runs on the support members of size at least h, with every
-    bottom on level h, and each member below level h is then its own
-    interval.  It runs on the module itself, not on its dual.
+    Alexander duality takes the interval [b, t] to [complement of t,
+    complement of b], so this is `_level_cover` at n - h on the
+    complements of the support members, mapped back: the members of
+    size at least h are covered with every bottom on level h, and each
+    member below level h is its own interval.  The engine forces the
+    smallest uncovered complement, that is the largest uncovered member
+    as a top, and guesses only bottoms on level h; the search tree is
+    the mirror of the sdepth search on the dual support.
     """
-    low, high = [], []
-    for m in module.support_masks():
-        (low if m.bit_count() < h else high).append(m)
-    found = _cover(family_word(high), high, lambda e: e.bit_count() == h)
-    return None if found is None else found + [(m, m) for m in low]
+    full = (1 << module.n) - 1
+    found = _level_cover([full ^ m for m in module.support_masks()], module.n - h)
+    return None if found is None else [(full ^ t, full ^ b) for b, t in found]
 
 
 def _level_counts(module) -> list[int]:
@@ -478,8 +489,10 @@ def _hreg_walk(module: SqQuotient) -> tuple[int, list]:
     out is skipped, and the first size whose search succeeds is the
     answer, with that search's partition, in the level normal form of
     `_cover_max_bottom`, as the witness; size n (singletons) is never
-    ruled out.  The search runs on the module itself, never taken from
-    the dual's sdepth.
+    ruled out.  Each probe mirrors the sdepth probe on the dual
+    support, so the walk repeats the dual's sdepth walk node for node
+    without building the dual module; the bottom-forced search in
+    tests/test_cover_gates.py is its independent check.
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no decompositions")

@@ -77,7 +77,11 @@ def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
     hreg comes out twice: minimized directly, and read off the
     dualized optimal sdepth decomposition of the dual module.  The two
     must agree, just as projective dimension must match the dual
-    regularity; either failing is a defect, not a discovery.
+    regularity; either failing is a defect, not a discovery.  The
+    direct search runs on the complements of the support, so the two
+    hreg values come from mirrored searches; the check of hreg that
+    shares no search with them is the bottom-forced oracle in
+    tests/test_cover_gates.py.
     """
     n = module.n
     s, _ = _sdepth_walk(module)

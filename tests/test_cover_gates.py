@@ -7,8 +7,11 @@ and offer the same tops at every node, so their pair lists (None
 included) are the same.  The sdepth and hreg gates search the level
 normal form instead; the old closures stay as oracles for whether a
 partition exists, and the pairs are checked to be a partition in that
-normal form.  The last tests pin that the value-only callers build no
-witness.
+normal form.  The hreg gate searches the complements of the members,
+so it and the survey's hreg_dual (n minus the dual's sdepth) run
+mirrored searches; the old bottom-forced closure is the independent
+route for hreg, checked here beyond n = 4 as well.  The last tests pin
+that the value-only callers build no witness.
 """
 
 import json
@@ -20,10 +23,10 @@ from sqstanley import sqmod
 from sqstanley.cli import main
 from sqstanley.cover import first_interval_partition
 from sqstanley.homology import depth_duality_check
-from sqstanley.instances import all_complexes, all_quotients, random_complex
+from sqstanley.instances import all_complexes, all_quotients, random_complex, random_quotient
 from sqstanley.partition import face_ring, find_partition, generator_bottom_decomposition
 from sqstanley.setcalc import Interval, submasks
-from sqstanley.sqmod import dualize_quotient
+from sqstanley.sqmod import SqQuotient, dualize_quotient, hreg_min
 from sqstanley.survey import survey_module
 
 
@@ -153,6 +156,32 @@ def test_module_gates(same, n):
                               ref_generator_bottoms(m)))
     assert None in found
     assert any(f is not None for f in found)
+
+
+# n=6 bands L[d, e] on which the bottom-forced search runs out of memory
+HREG_UNFINISHED = {(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)}
+
+
+def _beyond_n4():
+    for n in (5, 6):
+        for d in range(n + 1):
+            for e in range(d, n + 1):
+                if n == 5 or (d, e) not in HREG_UNFINISHED:
+                    yield SqQuotient.from_support(
+                        n, [m for m in range(1 << n) if d <= m.bit_count() <= e])
+    rng = random.Random(55)
+    for _ in range(100):
+        yield random_quotient(rng, 5)
+
+
+def test_hreg_against_the_bottom_forced_search():
+    # at the answer h a partition exists and at h - 1 none does, by the
+    # old search as well as by the gate
+    for module in _beyond_n4():
+        h, _ = hreg_min(module)
+        for k in range(max(h - 1, 0), h + 1):
+            exists = first_interval_partition(*ref_max_bottom(module, k)) is not None
+            assert exists == (k == h) == (sqmod._cover_max_bottom(module, k) is not None)
 
 
 def _complex_gates(same, cx):
