@@ -18,7 +18,7 @@ decompositions and modules dualize with explicit signs.
 from dataclasses import dataclass
 
 from .errors import NMismatchError
-from .setcalc import IndexSet, Interval, sigma_masks
+from .setcalc import Atom, IndexSet, Interval, sigma_masks
 from .sqmod import SqQuotient, StanleyDecomposition, dualize_quotient
 
 
@@ -254,7 +254,7 @@ def dual_functional_image(emod: ExtQuotientModule, phi: ExtElement) -> ExtElemen
 
 
 @dataclass(frozen=True, slots=True)
-class EPiece:
+class EPiece(Atom):
     """One summand of an exterior decomposition: the class of e_start
     times the subalgebra on the free variables."""
 

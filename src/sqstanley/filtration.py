@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, NMismatchError
 from .ideals import SqIdeal
-from .setcalc import IndexSet, Interval, one_smaller
+from .setcalc import Atom, IndexSet, Interval, one_smaller
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -26,7 +26,7 @@ from .sqmod import (
 
 
 @dataclass(frozen=True, slots=True)
-class FiltrationStep:
+class FiltrationStep(Atom):
     """One step: adjoin x_degree, with step quotient S/P_prime(-degree)."""
 
     degree: IndexSet

@@ -31,6 +31,9 @@ from .errors import CapExceededError, NMismatchError
 
 MAX_N = 64
 
+# Atoms over at most this many elements are interned; see Interned.
+INTERN_MAX_N = 6
+
 # Explicit materialization of 2^k objects (faces, interval members,
 # nonface sweeps) is refused beyond this many bits.
 MATERIALIZE_BITS = 20
@@ -155,9 +158,63 @@ def cone_word(word: int, n: int) -> int:
     return cone
 
 
+class Interned(type):
+    """Metaclass of the set atoms: IndexSet, and classes whose value is
+    a pair of IndexSets.  Each class keeps its own table of shared
+    instances.
+
+    An IndexSet is looked up by its two ints, taken only when both are
+    of exact type int, so True or 5.0 never meet a kept 1 or 5.  A pair
+    is looked up by the identities of its parts; a kept pair holds its
+    parts, so no other object can carry those identities while it is in
+    the table.  A miss builds the value the ordinary way, every check
+    included.  It is kept when n <= INTERN_MAX_N and, for a pair, both
+    parts are kept IndexSets, which bounds the tables at 2^n sets and
+    3^n pairs per n.  setdefault keeps one instance if two threads miss
+    on the same value at once.
+    """
+
+    def __new__(mcls, name, bases, namespace):
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._kept = {}
+        return cls
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != 2:
+            return super().__call__(*args, **kwargs)
+        a, b = args
+        if cls is IndexSet:
+            if type(a) is not int or type(b) is not int:
+                return super().__call__(a, b)
+            key = args
+        else:
+            key = (id(a), id(b))
+        atom = cls._kept.get(key)
+        if atom is None:
+            atom = super().__call__(a, b)
+            if (a <= INTERN_MAX_N) if cls is IndexSet else (_is_kept(a) and _is_kept(b)):
+                atom = cls._kept.setdefault(key, atom)
+        return atom
+
+
+def _is_kept(part) -> bool:
+    return type(part) is IndexSet and IndexSet._kept.get((part.n, part.mask)) is part
+
+
+class Atom(metaclass=Interned):
+    """Base of the interned set atoms.  Pickling and copying rebuild an
+    atom through its constructor, so a copy of a kept atom is the kept
+    atom itself."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True)
-class IndexSet:
+class IndexSet(Atom):
     """A subset of {1, ..., n}; ordering between IndexSets is colex."""
 
     n: int
@@ -254,7 +311,7 @@ def sigma(g: IndexSet, f: IndexSet) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Atom):
     """The Boolean-lattice interval [bottom, top] = {H : bottom <= H <= top}."""
 
     bottom: IndexSet

@@ -3,10 +3,13 @@ once.  The counts are pinned, so a change that repeats one of them
 shows here."""
 
 import sys
+from collections import Counter
 
 import pytest
 
 from sqstanley import homology, sqmod, survey
+from sqstanley.exterior import edual_decomposition, s_to_e_decomposition
+from sqstanley.filtration import dualize_filtration, facet_peel_filtration
 from sqstanley.instances import all_quotients
 
 COUNTED = {
@@ -49,3 +52,22 @@ def test_each_piece_computed_once(calls, check, expected):
         calls.update(dict.fromkeys(calls, 0))
         check(module)
         assert calls == expected, module
+
+
+def test_n4_sweep_shares_one_atom_per_value():
+    """Every n=4 quotient's peel filtration, its dual, its sdepth witness
+    and both exterior decompositions of that witness reference one object
+    per value: the 16 subsets of [4], the 16 peel steps (G, [4] - G) and
+    the 3^4 = 81 intervals and exterior pieces."""
+    kept = []
+    for module in all_quotients(4):
+        filt = facet_peel_filtration(module)
+        _, witness = sqmod.sdepth(module)
+        pieces = s_to_e_decomposition(witness)
+        kept += filt.steps + dualize_filtration(filt).steps + witness.intervals
+        kept += pieces.pieces + edual_decomposition(pieces)[0].pieces
+    assert len(kept) > 150_000
+    parts = [part for atom in kept for part in (getattr(atom, f) for f in atom.__match_args__)]
+    distinct = {id(obj): type(obj).__name__ for obj in kept + parts}
+    assert Counter(distinct.values()) == {
+        "IndexSet": 16, "FiltrationStep": 16, "Interval": 81, "EPiece": 81}

@@ -212,14 +212,18 @@ def test_random_complexes(same):
 
 @pytest.fixture
 def intervals_built(monkeypatch):
+    # counts constructor calls, not checks: an interned interval is
+    # checked once, on its first build
     built = []
-    check = Interval.__post_init__
+    construct = type(Interval).__call__
 
-    def counted(self):
-        built.append(self)
-        check(self)
+    def counted(cls, *args, **kwargs):
+        atom = construct(cls, *args, **kwargs)
+        if cls is Interval:
+            built.append(atom)
+        return atom
 
-    monkeypatch.setattr(Interval, "__post_init__", counted)
+    monkeypatch.setattr(type(Interval), "__call__", counted)
     return built
 
 

@@ -1,10 +1,18 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sqstanley.errors import CapExceededError, NMismatchError
+from sqstanley.exterior import EPiece
+from sqstanley.filtration import FiltrationStep
 from sqstanley.setcalc import (
+    INTERN_MAX_N,
     IndexSet,
     Interval,
     SimplicialComplex,
@@ -272,3 +280,128 @@ class TestMinimalSets:
 def test_materialization_guard():
     with pytest.raises(CapExceededError):
         Interval(IndexSet(30, 0), IndexSet.full(30)).member_masks()
+
+
+PAIR_CLASSES = (Interval, FiltrationStep, EPiece)
+
+
+def pair_args(cls, n):
+    """A valid (first, second) for each pair class over n: {1} and {1,2}
+    for an interval, {1} and {2} for the disjoint pairs."""
+    second = 0b11 if cls is Interval else 0b10
+    return IndexSet(n, 0b1), IndexSet(n, second)
+
+
+def table_sizes():
+    return [len(cls._kept) for cls in (IndexSet,) + PAIR_CLASSES]
+
+
+class TestInterning:
+    """The set atoms share one instance per value over n <= INTERN_MAX_N,
+    and every other call builds and checks a fresh object as before."""
+
+    def test_bound_is_six(self):
+        assert INTERN_MAX_N == 6
+
+    @given(small_sets)
+    def test_equal_index_sets_are_shared_up_to_the_bound(self, nm):
+        n, m = nm
+        assert IndexSet(n, m) == IndexSet(n, m)
+        assert (IndexSet(n, m) is IndexSet(n, m)) == (n <= INTERN_MAX_N)
+
+    @pytest.mark.parametrize("cls", PAIR_CLASSES)
+    def test_equal_pairs_are_shared_up_to_the_bound(self, cls):
+        for n in range(2, INTERN_MAX_N + 1):
+            a, b = pair_args(cls, n)
+            assert cls(a, b) is cls(IndexSet(n, a.mask), IndexSet(n, b.mask))
+        assert IndexSet.of(4, [1, 3]) is IndexSet(4, 0b101) is IndexSet(4, 0b100) | IndexSet(4, 0b1)
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_larger_n_is_not_kept_and_tables_stay_bounded(self, n):
+        before = table_sizes()
+        for m in range(1 << 7):
+            IndexSet(n, m)
+            for cls in PAIR_CLASSES:
+                a, b = pair_args(cls, n)
+                assert cls(a, b) == cls(a, b) and cls(a, b) is not cls(a, b)
+        assert IndexSet(n, 5) is not IndexSet(n, 5)
+        assert table_sizes() == before
+        limit = [sum(2 ** k for k in range(INTERN_MAX_N + 1))] + [
+            sum(3 ** k for k in range(INTERN_MAX_N + 1))] * len(PAIR_CLASSES)
+        assert all(size <= cap for size, cap in zip(table_sizes(), limit))
+
+    def test_bad_index_sets_are_refused_on_every_call(self):
+        IndexSet(4, 5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"mask 5\.0 out of range for n=4"):
+                IndexSet(4, 5.0)
+            with pytest.raises(ValueError, match="mask 16 out of range for n=4"):
+                IndexSet(4, 16)
+            with pytest.raises(ValueError, match="ground set size"):
+                IndexSet(4.0, 5)
+
+    def test_bools_take_the_unshared_path(self):
+        # a bool is an int to the checks, so these are built as before,
+        # but never handed the kept atom that equals them
+        kept = IndexSet(1, 1)
+        for args in ((True, 1), (1, True), (True, True)):
+            s = IndexSet(*args)
+            assert s == kept and s is not kept
+            assert (type(s.n), type(s.mask)) == tuple(map(type, args))
+        loose = IndexSet(True, 1)
+        assert Interval(loose, loose).bottom is loose
+        assert Interval(loose, loose) is not Interval(kept, kept)
+
+    @pytest.mark.parametrize("cls", PAIR_CLASSES)
+    def test_bad_pairs_are_refused_on_every_call(self, cls):
+        a, b = pair_args(cls, 4)
+        cls(a, b)
+        crossing = (b, a) if cls is Interval else (a, IndexSet(4, a.mask | b.mask))
+        for _ in range(2):
+            for args in ((a, IndexSet(5, b.mask)), (IndexSet(5, a.mask), b)):
+                with pytest.raises(NMismatchError):
+                    cls(*args)
+            with pytest.raises(ValueError, match="not contained in top|meets"):
+                cls(*crossing)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_keyword_replace_pickle_and_deepcopy_round_trip(self, n):
+        atoms = [IndexSet(n, 5)] + [cls(*pair_args(cls, n)) for cls in PAIR_CLASSES]
+        for atom in atoms:
+            fields = {f.name: getattr(atom, f.name) for f in dataclasses.fields(atom)}
+            assert type(atom)(**fields) == atom
+            assert dataclasses.replace(atom) == atom
+            for twin in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom), copy.copy(atom)):
+                assert twin == atom and type(twin) is type(atom)
+                assert (twin is atom) == (n <= INTERN_MAX_N)
+        assert dataclasses.replace(atoms[0], mask=6) == IndexSet(n, 6)
+        assert dataclasses.replace(atoms[1], top=IndexSet(n, 7)) == Interval(IndexSet(n, 1), IndexSet(n, 7))
+
+    def test_threads_racing_on_new_values_get_one_instance(self):
+        class Fresh(Interval):
+            # a subclass starts with its own empty table
+            __slots__ = ()
+
+        n = INTERN_MAX_N
+        pairs = [(IndexSet(n, b), IndexSet(n, t)) for t in range(1 << n) for b in submasks(t)]
+        seen = [[] for _ in range(4)]
+        start = threading.Barrier(len(seen))
+
+        def build(out):
+            start.wait()
+            out.extend(Fresh(b, t) for b, t in pairs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == len(pairs) == 3 ** n for out in seen)
+        assert all(map(lambda *same: len({id(x) for x in same}) == 1, *seen))
+        assert len(Fresh._kept) == 3 ** n
