@@ -53,7 +53,7 @@ from .formats import (
 )
 from .homology import DEFAULT_CHAR, check_char, invariants
 from .ideals import MonomialIdeal, SqIdeal, tilde
-from .linquot import linear_quotients_order, lq_decomposition
+from .linquot import _order_decomposition, linear_quotients_order
 from .partition import face_ring, partition_duality_check
 from .setcalc import IndexSet, SimplicialComplex, alexander_dual
 from .sqmod import SqQuotient, _sdepth_walk, build_quotient, dualize_quotient, hreg_min, sdepth
@@ -277,9 +277,8 @@ def cmd_linquot(args):
                "colon_vars": [sorted(IndexSet(parsed.n, v).members)
                               for v in order.colon_vars],
                "r": order.r}
-    if all(g.is_squarefree for g in parsed.gens):
-        sq = SqIdeal.from_monomial_ideal(parsed)
-        dec = lq_decomposition(sq)
+    if parsed.is_squarefree:
+        dec = _order_decomposition(SqIdeal.from_monomial_ideal(parsed), order)
         payload["decomposition"] = to_jsonable(dec)
         payload["sdepth"] = dec.sdepth if dec.intervals else None
     row = {"n": parsed.n, "linear_quotients": True, "r": order.r,

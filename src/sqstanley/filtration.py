@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, NMismatchError
 from .ideals import SqIdeal
-from .setcalc import Atom, IndexSet, Interval, one_smaller
+from .setcalc import Atom, IndexSet, Interval, colon_prime, one_smaller
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -84,11 +84,9 @@ def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
     ideal.  The step quotients then have the stated form, one support
     member per interval of the chain.
 
-    For any generating set of the current ideal, (cur : x_G) is
-    generated by the sets H minus G, so it equals P_F exactly when each
-    of those meets F and the singletons among them cover F; a singleton
-    that meets F lies in F.  The chain is kept as its growing,
-    unminimized generator list.
+    The chain is kept as its growing, unminimized generator list; a
+    colon by x_G is generated by the sets H minus G over any generating
+    set, so `colon_prime` decides each step on that list.
     """
     if module.n != filt.n:
         raise NMismatchError(f"filtration over n={filt.n} for module over n={module.n}")
@@ -96,15 +94,8 @@ def validate_filtration(module: SqQuotient, filt: PrimeFiltration) -> bool:
         return False
     gens = list(filt.base.gen_masks)
     for s in filt.steps:
-        g, f = s.degree.mask, s.prime.mask
-        singletons = 0
-        for h in gens:
-            c = h & ~g
-            if not c & f:
-                return False
-            if c & (c - 1) == 0:
-                singletons |= c
-        if singletons != f:
+        g = s.degree.mask
+        if colon_prime(gens, g) != s.prime.mask:
             return False
         gens.append(g)
     return filt.final_ideal() == module.outer

@@ -47,7 +47,9 @@ def parse_support(n, row, where="support") -> IndexSet:
     members = []
     last = 0
     for x in row:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if type(x) is not int:
+            raise FormatError(f"{where}: support entry {x!r} is not an integer")
+        if not 1 <= x <= n:
             raise FormatError(f"{where}: support entry {x!r} outside [1, {n}]")
         if x <= last:
             raise FormatError(f"{where}: support list {row!r} not strictly increasing")
@@ -65,7 +67,7 @@ def _exponent_row(n, row, where):
         raise FormatError(f"{where}: exponent vector {row!r} has length "
                           f"{len(row)}, expected {n}")
     for x in row:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise FormatError(f"{where}: exponent {x!r} is not a nonnegative integer")
     return Monomial(tuple(row))
 
@@ -108,10 +110,10 @@ def parse_instance(source):
     if not isinstance(obj, dict):
         raise FormatError("instance document must be a JSON object")
     version = obj.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):
         raise FormatError(f"unsupported format version {version!r}")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FormatError(f"'n' must be a positive integer, got {n!r}")
     kinds = [k for k in ("ideal", "quotient", "complex") if k in obj]
     if len(kinds) != 1:

@@ -49,7 +49,7 @@ class Monomial:
     @classmethod
     def from_support(cls, s: IndexSet) -> "Monomial":
         """The squarefree monomial x_F."""
-        return cls(tuple(1 if i + 1 in s else 0 for i in range(s.n)))
+        return cls(tuple(s.mask >> i & 1 for i in range(s.n)))
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Monomial":
@@ -209,16 +209,6 @@ class MonomialIdeal:
         """The colon ideal (I : w), again a monomial ideal."""
         _same_n(self, w)
         return MonomialIdeal.of(self.n, (g.quotient_by(w) for g in self.gens))
-
-    def exponent_cap(self) -> tuple[int, ...]:
-        """Per-variable box bound: membership questions in [0, cap]^n decide
-        membership patterns everywhere (capping an exponent at cap_i preserves
-        divisibility by every generator and non-divisibility witnesses)."""
-        cap = [1] * self.n
-        for g in self.gens:
-            for i, e in enumerate(g.exponents):
-                cap[i] = max(cap[i], e)
-        return tuple(cap)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -6,21 +6,25 @@ by variables.  The search backtracks over orderings in canonical
 generator order, memoizing sets of placed generators that cannot be
 completed, so the first ordering found is deterministic.
 
-The ordering search runs on arbitrary monomial ideals.  The
-decomposition built from it lives in the squarefree world only: for a
-squarefree ideal each step contributes the interval from the generator
-support up to the complement of its colon variables, giving a Stanley
-decomposition of the ideal with sdepth exactly n - r, where r is the
-largest number of colon variables at any step.  For ideals with
-non-squarefree generators the ordering and r are still reported, but
-no interval decomposition is attempted here.
+The search runs on arbitrary monomial ideals through their
+polarizations: a colon of monomials is generated by variables exactly
+when that of their polarizations is, so each step is one
+`setcalc.colon_prime` test on generator masks, and the colon variables
+are read back off the owners of its bits.  The decomposition built
+from it lives in the squarefree world only: for a squarefree ideal
+each step contributes the interval from the generator support up to
+the complement of its colon variables, giving a Stanley decomposition
+of the ideal with sdepth exactly n - r, where r is the largest number
+of colon variables at any step.  For ideals with non-squarefree
+generators the ordering and r are still reported, but no interval
+decomposition is attempted here.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .ideals import Monomial, MonomialIdeal, SqIdeal, minimalize
-from .setcalc import Interval, IndexSet
+from .ideals import Monomial, SqIdeal
+from .setcalc import Interval, IndexSet, colon_prime
 from .sqmod import SqQuotient, StanleyDecomposition, validate_decomposition
 
 
@@ -45,32 +49,32 @@ class LinearQuotientsOrder:
         return f"[{steps}] with r = {self.r}"
 
 
-def _as_monomials(ideal) -> tuple[int, tuple[Monomial, ...]]:
-    if isinstance(ideal, SqIdeal):
-        gens = tuple(Monomial.from_support(IndexSet(ideal.n, m))
-                     for m in ideal.gen_masks)
-        return ideal.n, gens
-    return ideal.n, ideal.gens
+def _polarize(ideal) -> tuple[tuple[Monomial, ...], list[int], list[int]]:
+    """The generators, the masks of their polarizations, and the
+    variable mask that owns each bit.
 
-
-def _colon_variable_mask(placed, u):
-    """Mask of the variables generating (placed) : u, or None if that
-    colon has a minimal generator of degree at least two."""
-    quotients = minimalize([g.quotient_by(u) for g in placed])
-    mask = 0
-    for q in quotients:
-        if q.degree != 1:
-            return None
-        mask |= q.support_mask
-    return mask
+    Variable i gets one bit per power of x_i up to its largest exponent,
+    and at least one, so a squarefree ideal keeps its own masks.  The
+    sets P(u_j) - P(u_i) contain each other as the monomials
+    u_j / gcd(u_j, u_i) divide each other, and are singletons exactly
+    when those have degree one.
+    """
+    gens = tuple(map(Monomial.from_support, ideal.gens)) \
+        if isinstance(ideal, SqIdeal) else ideal.gens
+    owner, starts = [], []
+    for i in range(ideal.n):
+        starts.append(len(owner))
+        owner += [1 << i] * max([1, *(g.exponents[i] for g in gens)])
+    masks = [sum(((1 << e) - 1) << start for e, start in zip(g.exponents, starts))
+             for g in gens]
+    return gens, masks, owner
 
 
 def linear_quotients_order(ideal):
     """First linear quotients ordering in canonical order, or None."""
-    n, gens = _as_monomials(ideal)
-    m = len(gens)
+    gens, masks, owner = _polarize(ideal)
+    m = len(masks)
     chosen = []
-    vars_masks = []
     dead = set()
 
     def extend(used):
@@ -78,30 +82,31 @@ def linear_quotients_order(ideal):
             return True
         if used in dead:
             return False
+        placed = [masks[j] for j in chosen]
         for i in range(m):
-            if i in used:
+            if used >> i & 1:
                 continue
-            mask = _colon_variable_mask([gens[j] for j in chosen], gens[i])
-            if mask is None:
+            if colon_prime(placed, masks[i]) is None:
                 continue
             chosen.append(i)
-            vars_masks.append(mask)
-            if extend(used | {i}):
+            if extend(used | 1 << i):
                 return True
             chosen.pop()
-            vars_masks.pop()
         dead.add(used)
         return False
 
     try:
-        if not extend(frozenset()):
+        if not extend(0):
             return None
     finally:
         # extend's closure refers to extend itself; break that cycle so
         # the memo is freed on return, not at the next collection
         extend = None
-    return LinearQuotientsOrder(n, tuple(gens[i] for i in chosen),
-                                tuple(vars_masks))
+    placed = [masks[i] for i in chosen]
+    colons = (colon_prime(placed[:k], h) for k, h in enumerate(placed))
+    # a colon's bits have distinct owners: bit a_k + 1 of variable k
+    colon_vars = tuple(sum(o for b, o in enumerate(owner) if f >> b & 1) for f in colons)
+    return LinearQuotientsOrder(ideal.n, tuple(gens[i] for i in chosen), colon_vars)
 
 
 def has_linear_quotients(ideal) -> bool:
@@ -109,16 +114,22 @@ def has_linear_quotients(ideal) -> bool:
 
 
 def lq_decomposition(ideal: SqIdeal) -> StanleyDecomposition:
-    """Stanley decomposition of a squarefree ideal from linear quotients.
+    """Stanley decomposition of a squarefree ideal from linear quotients."""
+    order = linear_quotients_order(ideal)
+    if order is None:
+        raise ValueError("ideal admits no linear quotients ordering")
+    return _order_decomposition(ideal, order)
+
+
+def _order_decomposition(ideal: SqIdeal, order: LinearQuotientsOrder) -> StanleyDecomposition:
+    """The Stanley decomposition that a linear quotients order of the
+    squarefree ideal induces.
 
     Step i covers the monomials u_i * k[variables outside the colon],
     so in squarefree degrees it covers the interval from supp(u_i) to
     the complement of the step's colon variables.  Every interval top
     has size n - r_i, hence the sdepth of the result is n - r.
     """
-    order = linear_quotients_order(ideal)
-    if order is None:
-        raise ValueError("ideal admits no linear quotients ordering")
     n = ideal.n
     full = (1 << n) - 1
     intervals = [Interval(IndexSet(n, g.support_mask), IndexSet(n, full ^ v))

@@ -19,6 +19,8 @@ An antichain (the generators of a squarefree ideal, the facets or
 minimal non-faces of a complex) is kept as a colex-sorted tuple of
 masks.  `minimal_sets` is the one place that extracts one from a list
 of masks; maximal sets are the complements of the minimal complements.
+`colon_prime` is the one place that decides whether a colon of a
+squarefree ideal by a squarefree monomial is generated by variables.
 """
 
 from __future__ import annotations
@@ -73,6 +75,29 @@ def minimal_sets(masks: Iterable[int]) -> tuple[int, ...]:
         else:
             kept.append(m)
     return tuple(kept)
+
+
+def colon_prime(gens: Iterable[int], g: int) -> int | None:
+    """The mask F with (x_h : h in gens) : x_g = P_F, or None.
+
+    The colon is generated by the sets h - g: it is P_F when none is
+    empty (the unit colon), the singletons cover F and each wider one
+    meets F.  No generators give the zero ideal, P_F with F empty.
+    """
+    f = 0
+    wide = []
+    for h in gens:
+        c = h & ~g
+        if c & (c - 1):
+            wide.append(c)
+        elif c:
+            f |= c
+        else:
+            return None
+    for c in wide:
+        if not c & f:
+            return None
+    return f
 
 
 def family_word(masks: Iterable[int]) -> int:

@@ -36,13 +36,11 @@ Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
 divisibility-minimal monomial of the set difference is squarefree and
 (b) no generator of the inner ideal has support contained in the
-support of a member of the difference.  Both conditions are decided
-inside a finite exponent box, since capping exponents at the largest
-ones appearing among the generators preserves every divisibility
-pattern in sight.
+support of a member of the difference.  Both are read off the
+generators, and so is the support then: the squarefree monomials of
+the outer ideal minus those of the inner one.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,17 +58,14 @@ from .setcalc import (
     MATERIALIZE_BITS,
     IndexSet,
     Interval,
+    colon_prime,
     complement_family,
     family_word,
-    minimal_sets,
     one_larger,
     one_smaller,
     up_closure,
     word_masks,
 )
-
-# Refuse exponent-box sweeps with more points than this.
-BOX_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,56 +176,48 @@ class SquarefreeCertificate:
         return self.ok
 
 
-def squarefree_certificate(inner: MonomialIdeal, outer: MonomialIdeal) -> SquarefreeCertificate:
-    """Decide whether outer/inner is a squarefree module.
+def _lift(g: Monomial, f: int) -> Monomial:
+    """lcm(g, x_F), for a monomial g with support inside F."""
+    return Monomial(tuple(e or f >> i & 1 for i, e in enumerate(g.exponents)))
 
-    Works inside the exponent box bounded by the generator exponents of
-    both ideals; every monomial membership question that matters is
-    decided there.
+
+def squarefree_certificate(inner: MonomialIdeal, outer: MonomialIdeal) -> SquarefreeCertificate:
+    """Decide whether outer/inner is a squarefree module, from the
+    generators of both ideals.
+
+    A proper divisor in the outer ideal of a non-member of the inner one
+    is itself a non-member, so the minimal members of the difference are
+    the outer generators outside the inner ideal.  A member with support
+    F exists exactly when lcm(g, x_F) lies outside the inner ideal for
+    some outer generator g with support inside F; the least F that also
+    holds the support of an inner generator u is then the least
+    supp u | supp g with that property.  The pair witness is that F's
+    least such lcm and the first inner generator inside F.
     """
     if inner.n != outer.n:
         raise NMismatchError(f"ideals over n={inner.n} and n={outer.n}")
-    n = inner.n
     if not all(g in outer for g in inner.gens):
         raise ValueError("inner ideal is not contained in the outer ideal")
-    caps = tuple(max(a, b) for a, b in zip(inner.exponent_cap(), outer.exponent_cap()))
-    if math.prod(c + 1 for c in caps) > BOX_LIMIT:
-        raise CapExceededError("exponent box too large to sweep")
 
-    members = [m for m in (Monomial(e) for e in itertools.product(*(range(c + 1) for c in caps)))
-               if m in outer and m not in inner]
-    members.sort(key=Monomial.sort_key)
-
-    # A member is divisibility-minimal iff no single-variable step down
-    # stays in the outer ideal (divisors of a non-member of the inner
-    # ideal never belong to the inner ideal).
-    witness_nonsquarefree = None
-    for m in members:
-        down = (Monomial(tuple(e - 1 if k == i else e for k, e in enumerate(m.exponents)))
-                for i in range(n) if m.exponents[i])
-        if any(d in outer for d in down):
-            continue
-        if not m.is_squarefree:
-            witness_nonsquarefree = m
-            break
+    witness_nonsquarefree = next(
+        (g for g in outer.gens if not g.is_squarefree and g not in inner), None)
 
     witness_pair = None
-    for m in members:
-        hit = next((u for u in inner.gens if u.support_mask & ~m.support_mask == 0), None)
-        if hit is not None:
-            witness_pair = (hit, m)
-            break
+    supports = [f for g in outer.gens for u in inner.gens
+                if _lift(g, f := u.support_mask | g.support_mask) not in inner]
+    if supports:
+        f = min(supports)
+        lifts = (_lift(g, f) for g in outer.gens if g.support_mask & ~f == 0)
+        member = min((m for m in lifts if m not in inner), key=Monomial.sort_key)
+        u = next(u for u in inner.gens if u.support_mask & ~f == 0)
+        witness_pair = (u, member)
 
     if witness_nonsquarefree is not None or witness_pair is not None:
         return SquarefreeCertificate(False, None, witness_nonsquarefree, witness_pair)
-
-    family = sorted({m.support_mask for m in members})
-    for f in family:
-        xf = Monomial.from_support(IndexSet(n, f))
-        if xf not in outer or xf in inner:
-            raise InternalCheckError(
-                f"support family contains {IndexSet(n, f)} but {xf} is not in the difference")
-    return SquarefreeCertificate(True, tuple(family), None, None)
+    outer_word, inner_word = (
+        SqIdeal.of(outer.n, [g.support_mask for g in i.gens if g.is_squarefree]).member_word()
+        for i in (outer, inner))
+    return SquarefreeCertificate(True, word_masks(outer_word & ~inner_word), None, None)
 
 
 def build_quotient(inner: MonomialIdeal, outer: MonomialIdeal) -> SqQuotient:
@@ -284,14 +271,7 @@ def associated_primes(module: SqQuotient) -> tuple[IndexSet, ...]:
     support, and that annihilator depends on G alone.
     """
     gens = module.inner.gen_masks
-    found = set()
-    for g in module.support_masks():
-        minimal = minimal_sets(h & ~g for h in gens)
-        if all(m.bit_count() == 1 for m in minimal):
-            f = 0
-            for m in minimal:
-                f |= m
-            found.add(f)
+    found = {colon_prime(gens, g) for g in module.support_masks()} - {None}
     return tuple(IndexSet(module.n, f) for f in sorted(found))
 
 

@@ -1,10 +1,11 @@
 import itertools
 import json
 import os
+import time
 
 import pytest
 
-from sqstanley import cli, sqmod, survey
+from sqstanley import cli, linquot, sqmod, survey
 from sqstanley.cli import main
 from sqstanley.formats import parse_instance
 from sqstanley.partition import face_ring
@@ -160,6 +161,23 @@ class TestModuleCommands:
         assert doc["sdepth"] == 2
         assert doc["decomposition"]["intervals"] == [
             {"bottom": [2, 3], "top": [2, 3]}]
+
+    def test_exponents_beyond_any_box(self, capsys, tmp_path):
+        # (x1^3..x11^3, x1x12..x11x12) inside (x1^3..x11^3, x12) is
+        # S/(x1..x11) shifted by x12, whatever the exponents around it
+        def row(*powers):
+            e = [0] * 12
+            for i, p in powers:
+                e[i - 1] = p
+            return e
+        cubes = [row((i, 3)) for i in range(1, 12)]
+        inner = cubes + [row((i, 1), (12, 1)) for i in range(1, 12)]
+        path = write(tmp_path, "q.json", {"n": 12, "quotient": {
+            "inner": {"gens": inner, "encoding": "exponents"},
+            "outer": {"gens": cubes + [row((12, 1))], "encoding": "exponents"}}})
+        code, out, _ = run(capsys, "sdepth", path)
+        assert code == 0
+        assert json.loads(out)["sdepth"] == 1
 
     def test_nonsquarefree_witness_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", {
@@ -320,6 +338,34 @@ class TestLinquot:
         assert doc["linear_quotients"] is True
         assert "decomposition" not in doc
 
+    def test_one_search(self, capsys, monkeypatch, tmp_path):
+        searches = []
+        search = linquot.linear_quotients_order
+
+        def counted(ideal):
+            searches.append(ideal)
+            return search(ideal)
+        monkeypatch.setattr(linquot, "linear_quotients_order", counted)
+        monkeypatch.setattr(cli, "linear_quotients_order", counted)
+        path = write(tmp_path, "p.json",
+                     {"n": 4, "ideal": {"gens": [[1, 2], [2, 3], [3, 4]]}})
+        code, out, _ = run(capsys, "linquot", path)
+        assert code == 0 and json.loads(out)["sdepth"] == 3
+        assert len(searches) == 1
+
+    def test_two_veronese_blocks_at_the_cap(self, capsys, tmp_path):
+        # all 30 degree-2 generators of two disjoint blocks of six
+        # variables: no ordering exists, so the search is exhaustive
+        gens = [list(e) for block in (range(1, 7), range(7, 13))
+                for e in itertools.combinations(block, 2)]
+        path = write(tmp_path, "v.json",
+                     {"n": 12, "ideal": {"gens": gens, "encoding": "support"}})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "linquot", path)
+        assert time.perf_counter() - start < 30
+        assert code == 0
+        assert json.loads(out) == {"n": 12, "linear_quotients": False}
+
     def test_wrong_kind(self, capsys, path_complex):
         code, _, err = run(capsys, "linquot", path_complex)
         assert code == 2
@@ -450,6 +496,13 @@ class TestPlumbing:
         path.write_text("{")
         code, _, _ = run(capsys, "sdepth", str(path))
         assert code == 2
+
+    def test_bool_where_an_int_belongs(self, capsys, tmp_path):
+        path = write(tmp_path, "b.json",
+                     {"n": True, "ideal": {"gens": [[1]], "encoding": "support"}})
+        code, out, err = run(capsys, "sdepth", path)
+        assert (code, out) == (2, "")
+        assert "'n'" in err
 
     def test_cap_on_instance(self, capsys, tmp_path):
         path = write(tmp_path, "big.json",

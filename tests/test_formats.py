@@ -83,6 +83,19 @@ class TestParsing:
         with pytest.raises(FormatError, match="nonnegative"):
             parse_gens(2, {"gens": [[1, -1]], "encoding": "exponents"})
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"n": true, "ideal": {"gens": [[1]], "encoding": "support"}}', "'n'"),
+        ('{"n": 1, "ideal": {"gens": [[true]], "encoding": "support"}}', "support entry True"),
+        ('{"n": 2, "ideal": {"gens": [[1, false]]}}', "exponent False"),
+        ('{"n": 2, "quotient": {"inner": {"gens": []}, "outer": {"gens": [[true]]}}}',
+         "outer: support entry True"),
+        ('{"n": 2, "complex": {"facets": [[1, true]]}}', "complex: support entry True"),
+        ('{"version": true, "n": 1, "ideal": {"gens": []}}', "version"),
+    ])
+    def test_bools_are_not_integers(self, doc, field):
+        with pytest.raises(FormatError, match=field):
+            parse_instance(doc)
+
     def test_unknown_encoding(self):
         with pytest.raises(FormatError, match="encoding"):
             parse_gens(2, {"gens": [[1]], "encoding": "binary"})

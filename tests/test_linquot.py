@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sqstanley.homology import invariants
-from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal, minimalize
+from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
 from sqstanley.linquot import (
     has_linear_quotients,
     linear_quotients_order,
@@ -20,10 +20,12 @@ def sq(n, masks):
 
 
 def brute_force_has_lq(gens):
-    """Try every ordering outright; independent of the backtracker."""
-    from sqstanley.linquot import _colon_variable_mask
+    """Try every ordering outright, computing each colon with
+    MonomialIdeal.colon; independent of the backtracker and of the
+    mask test."""
+    n = gens[0].n if gens else 0
     for perm in itertools.permutations(gens):
-        if all(_colon_variable_mask(list(perm[:i]), perm[i]) is not None
+        if all(all(q.degree == 1 for q in MonomialIdeal.of(n, perm[:i]).colon(perm[i]).gens)
                for i in range(1, len(perm))):
             return True
     return not gens or len(gens) == 1
@@ -78,6 +80,24 @@ class TestOrderSearch:
             mono = [Monomial.from_support(IndexSet(n, m))
                     for m in ideal.gen_masks]
             assert has_linear_quotients(ideal) == brute_force_has_lq(mono)
+
+    def test_matches_brute_force_beyond_squarefree(self):
+        rng = random.Random(20261019)
+        found = 0
+        while found < 150:
+            n = rng.randrange(1, 5)
+            ideal = MonomialIdeal.of(n, [Monomial(tuple(rng.randrange(4) for _ in range(n)))
+                                         for _ in range(rng.randrange(1, 6))])
+            if ideal.is_squarefree:
+                continue
+            found += 1
+            order = linear_quotients_order(ideal)
+            assert (order is not None) == brute_force_has_lq(ideal.gens), ideal
+            if order is not None:
+                # each step's colon is generated by exactly its colon variables
+                for i, u in enumerate(order.gens):
+                    colon = MonomialIdeal.of(n, order.gens[:i]).colon(u)
+                    assert sum(q.support_mask for q in colon.gens) == order.colon_vars[i]
 
     @pytest.mark.parametrize("masks", [[0b00011, 0b01100, 0b10001, 0b00110],
                                        [0b00011, 0b00101, 0b00110]])

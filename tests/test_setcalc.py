@@ -11,12 +11,14 @@ from hypothesis import given, strategies as st
 from sqstanley.errors import CapExceededError, NMismatchError
 from sqstanley.exterior import EPiece
 from sqstanley.filtration import FiltrationStep
+from sqstanley.ideals import Monomial, MonomialIdeal
 from sqstanley.setcalc import (
     INTERN_MAX_N,
     IndexSet,
     Interval,
     SimplicialComplex,
     alexander_dual,
+    colon_prime,
     interval_members,
     minimal_nonface_masks,
     minimal_sets,
@@ -239,6 +241,40 @@ mask_lists = st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
     st.lists(st.one_of(st.sampled_from([0, (1 << n) - 1]),
                        st.integers(min_value=0, max_value=(1 << n) - 1)), max_size=14)
     .flatmap(lambda ms: st.permutations(ms + ms[:len(ms) // 3]))))
+
+
+def colon_by_monomials(n, gens, g):
+    """colon_prime's answer computed with MonomialIdeal.colon."""
+    def x(mask):
+        return Monomial.from_support(IndexSet(n, mask))
+    colon = MonomialIdeal.of(n, [x(h) for h in gens]).colon(x(g))
+    if any(q.degree != 1 for q in colon.gens):
+        return None
+    return sum(q.support_mask for q in colon.gens)
+
+
+class TestColonPrime:
+    def test_every_generator_list_over_three_elements(self):
+        # unminimized lists included: validate_filtration passes its chain as it grows
+        for n in range(4):
+            for gens in itertools.chain.from_iterable(
+                    itertools.combinations(range(1 << n), k) for k in range((1 << n) + 1)):
+                for g in range(1 << n):
+                    assert colon_prime(gens, g) == colon_by_monomials(n, gens, g), (gens, g)
+
+    @given(mask_lists, st.integers(min_value=0))
+    def test_matches_the_monomial_colon(self, nm, g):
+        n, masks = nm
+        g &= (1 << n) - 1
+        assert colon_prime(masks, g) == colon_by_monomials(n, masks, g)
+
+    def test_small_values(self):
+        assert colon_prime([], 0b101) == 0                  # the zero ideal is P_{}
+        assert colon_prime([0b001, 0b110], 0b001) is None   # the unit colon
+        assert colon_prime([0b011, 0b110], 0b010) == 0b101
+        assert colon_prime([0b011, 0b100, 0b101], 0) is None   # x1x2 is minimal
+        assert colon_prime([0b011, 0b001, 0b110], 0) is None   # x2x3 is minimal
+        assert colon_prime([0b011, 0b001, 0b100], 0) == 0b101
 
 
 class TestMinimalSets:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -149,6 +150,52 @@ class TestCertificate:
     def test_zero_difference(self):
         ideal = MonomialIdeal.of(2, [mono(1, 0)])
         assert build_quotient(ideal, ideal).is_zero
+
+
+def box_sweep_certificate(inner, outer):
+    """The certificate's fields by sweeping every monomial of the
+    exponent box that the generators span: squarefree_certificate as it
+    was before it read the generators, kept as its oracle."""
+    n = inner.n
+    caps = [max([1, *(g.exponents[i] for g in inner.gens + outer.gens)]) for i in range(n)]
+    members = sorted((m for m in (Monomial(e) for e in itertools.product(
+        *(range(c + 1) for c in caps))) if m in outer and m not in inner),
+        key=Monomial.sort_key)
+    minimal = [m for m in members
+               if not any(Monomial(tuple(e - (k == i) for k, e in enumerate(m.exponents))) in outer
+                          for i in range(n) if m.exponents[i])]
+    nonsquarefree = next((m for m in minimal if not m.is_squarefree), None)
+    pair = next(((u, m) for m in members for u in inner.gens
+                 if u.support_mask & ~m.support_mask == 0), None)
+    if nonsquarefree is not None or pair is not None:
+        return False, None, nonsquarefree, pair
+    return True, tuple(sorted({m.support_mask for m in members})), None, None
+
+
+def _random_monomial_pair(rng):
+    """Seeded inner and outer monomial ideals, inner inside outer."""
+    n = rng.randrange(1, 5)
+
+    def mono_below(top):
+        return Monomial(tuple(rng.randrange(top) for _ in range(n)))
+
+    outer = MonomialIdeal.of(n, [mono_below(3) for _ in range(rng.randrange(4))])
+    multiples = [g * mono_below(2) for g in outer.gens for _ in range(rng.randrange(3))]
+    inner = MonomialIdeal.of(n, rng.sample(multiples, min(len(multiples), rng.randrange(4))))
+    return inner, outer
+
+
+def test_certificate_matches_the_box_sweep():
+    rng = random.Random(20261019)
+    accepted = 0
+    for _ in range(2000):
+        inner, outer = _random_monomial_pair(rng)
+        cert = squarefree_certificate(inner, outer)
+        got = (cert.ok, cert.support_masks, cert.witness_nonsquarefree, cert.witness_pair)
+        assert got == box_sweep_certificate(inner, outer), (inner, outer)
+        accepted += cert.ok
+    # both outcomes are well represented
+    assert 500 < accepted < 1500
 
 
 class TestSdepth:
