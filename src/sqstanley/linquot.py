@@ -6,18 +6,15 @@ by variables.  The search backtracks over orderings in canonical
 generator order, memoizing sets of placed generators that cannot be
 completed, so the first ordering found is deterministic.
 
-The search runs on arbitrary monomial ideals through their
-polarizations: a colon of monomials is generated by variables exactly
-when that of their polarizations is, so each step is one
-`setcalc.colon_prime` test on generator masks, and the colon variables
-are read back off the owners of its bits.  The decomposition built
-from it lives in the squarefree world only: for a squarefree ideal
-each step contributes the interval from the generator support up to
-the complement of its colon variables, giving a Stanley decomposition
-of the ideal with sdepth exactly n - r, where r is the largest number
-of colon variables at any step.  For ideals with non-squarefree
-generators the ordering and r are still reported, but no interval
-decomposition is attempted here.
+The ordering search runs on arbitrary monomial ideals, each step one
+`setcalc.colon_prime` test on the masks of their polarizations.  The
+decomposition built from it lives in the squarefree world only: for a
+squarefree ideal each step contributes the interval from the generator
+support up to the complement of its colon variables, giving a Stanley
+decomposition of the ideal with sdepth exactly n - r, where r is the
+largest number of colon variables at any step.  For ideals with
+non-squarefree generators the ordering and r are still reported, but
+no interval decomposition is attempted here.
 """
 
 from dataclasses import dataclass
@@ -50,43 +47,46 @@ class LinearQuotientsOrder:
 
 
 def _polarize(ideal) -> tuple[tuple[Monomial, ...], list[int], list[int]]:
-    """The generators, the masks of their polarizations, and the
-    variable mask that owns each bit.
+    """The generators, the masks of their polarizations, and where each
+    variable's block of bits starts.
 
-    Variable i gets one bit per power of x_i up to its largest exponent,
-    and at least one, so a squarefree ideal keeps its own masks.  The
-    sets P(u_j) - P(u_i) contain each other as the monomials
-    u_j / gcd(u_j, u_i) divide each other, and are singletons exactly
-    when those have degree one.
+    The exponents of x_i that occur are ranked first, consecutive ones
+    one apart and wider gaps two, so a block has at most two bits per
+    generator, and at least one, so a squarefree ideal keeps its own
+    masks.  The sets P(u_j) - P(u_i) still contain each other as the
+    monomials u_j / gcd(u_j, u_i) divide each other, and are singletons
+    exactly when those have degree one.
     """
-    gens = tuple(map(Monomial.from_support, ideal.gens)) \
-        if isinstance(ideal, SqIdeal) else ideal.gens
-    owner, starts = [], []
+    if isinstance(ideal, SqIdeal):
+        gens = tuple(map(Monomial.from_support, ideal.gens))
+        return gens, list(ideal.gen_masks), list(range(ideal.n + 1))
+    gens = ideal.gens
+    masks, starts = [0] * len(gens), [0]
     for i in range(ideal.n):
-        starts.append(len(owner))
-        owner += [1 << i] * max([1, *(g.exponents[i] for g in gens)])
-    masks = [sum(((1 << e) - 1) << start for e, start in zip(g.exponents, starts))
-             for g in gens]
-    return gens, masks, owner
+        values = sorted({0, *(g.exponents[i] for g in gens)})
+        rank = {0: 0}
+        for a, b in zip(values, values[1:]):
+            rank[b] = rank[a] + (1 if b == a + 1 else 2)
+        for j, g in enumerate(gens):
+            masks[j] |= ((1 << rank[g.exponents[i]]) - 1) << starts[-1]
+        starts.append(starts[-1] + max(1, rank[values[-1]]))
+    return gens, masks, starts
 
 
 def linear_quotients_order(ideal):
     """First linear quotients ordering in canonical order, or None."""
-    gens, masks, owner = _polarize(ideal)
-    m = len(masks)
+    gens, masks, starts = _polarize(ideal)
     chosen = []
     dead = set()
 
     def extend(used):
-        if len(chosen) == m:
+        if len(chosen) == len(masks):
             return True
         if used in dead:
             return False
         placed = [masks[j] for j in chosen]
-        for i in range(m):
-            if used >> i & 1:
-                continue
-            if colon_prime(placed, masks[i]) is None:
+        for i, h in enumerate(masks):
+            if used >> i & 1 or colon_prime(placed, h) is None:
                 continue
             chosen.append(i)
             if extend(used | 1 << i):
@@ -104,8 +104,9 @@ def linear_quotients_order(ideal):
         extend = None
     placed = [masks[i] for i in chosen]
     colons = (colon_prime(placed[:k], h) for k, h in enumerate(placed))
-    # a colon's bits have distinct owners: bit a_k + 1 of variable k
-    colon_vars = tuple(sum(o for b, o in enumerate(owner) if f >> b & 1) for f in colons)
+    # x_k is a colon variable when the colon has a bit in its block
+    blocks = [(1 << b) - (1 << a) for a, b in zip(starts, starts[1:])]
+    colon_vars = tuple(sum(1 << k for k, block in enumerate(blocks) if f & block) for f in colons)
     return LinearQuotientsOrder(ideal.n, tuple(gens[i] for i in chosen), colon_vars)
 
 

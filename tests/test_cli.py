@@ -8,6 +8,7 @@ import pytest
 from sqstanley import cli, linquot, sqmod, survey
 from sqstanley.cli import main
 from sqstanley.formats import parse_instance
+from sqstanley.ideals import MAX_EXPONENT
 from sqstanley.partition import face_ring
 from sqstanley.sqmod import dualize_quotient
 
@@ -365,6 +366,23 @@ class TestLinquot:
         assert time.perf_counter() - start < 30
         assert code == 0
         assert json.loads(out) == {"n": 12, "linear_quotients": False}
+
+    def test_largest_exponents(self, capsys, tmp_path):
+        # the largest exponents an instance may carry; one past is refused
+        top = MAX_EXPONENT - 1
+        gens = [[top] + [0] * 11, [top - 1, 1] + [0] * 10, [7, 2] + [0] * 10]
+        path = write(tmp_path, "big.json",
+                     {"n": 12, "ideal": {"gens": gens, "encoding": "exponents"}})
+        code, out, _ = run(capsys, "linquot", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["order"] == [gens[2], gens[1], gens[0]]
+        assert doc["colon_vars"] == [[], [2], [2]]
+        path = write(tmp_path, "huge.json",
+                     {"n": 1, "ideal": {"gens": [[10 ** 9]], "encoding": "exponents"}})
+        code, _, err = run(capsys, "linquot", path)
+        assert code == 2
+        assert "exponent" in err
 
     def test_wrong_kind(self, capsys, path_complex):
         code, _, err = run(capsys, "linquot", path_complex)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from sqstanley.homology import invariants
-from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
+from sqstanley.ideals import MAX_EXPONENT, Monomial, MonomialIdeal, SqIdeal
 from sqstanley.linquot import (
+    _polarize,
     has_linear_quotients,
     linear_quotients_order,
     lq_decomposition,
@@ -98,6 +99,34 @@ class TestOrderSearch:
                 for i, u in enumerate(order.gens):
                     colon = MonomialIdeal.of(n, order.gens[:i]).colon(u)
                     assert sum(q.support_mask for q in colon.gens) == order.colon_vars[i]
+
+    def test_matches_brute_force_with_gapped_exponents(self):
+        # exponents one apart, far apart and at the largest allowed value
+        rng = random.Random(20261020)
+        values = [0, 1, 2, 3, 5, 6, 9, 1000, 1001, MAX_EXPONENT - 2, MAX_EXPONENT - 1]
+        for _ in range(150):
+            n = rng.randrange(1, 4)
+            pool = rng.sample(values, rng.randrange(2, 6))
+            ideal = MonomialIdeal.of(n, [Monomial(tuple(rng.choice(pool) for _ in range(n)))
+                                         for _ in range(rng.randrange(1, 6))])
+            order = linear_quotients_order(ideal)
+            assert (order is not None) == brute_force_has_lq(ideal.gens), ideal
+            if order is not None:
+                for i, u in enumerate(order.gens):
+                    colon = MonomialIdeal.of(n, order.gens[:i]).colon(u)
+                    assert sum(q.support_mask for q in colon.gens) == order.colon_vars[i]
+
+    def test_polarized_width_is_bounded_by_the_generators(self):
+        top = MAX_EXPONENT - 1
+        ideal = MonomialIdeal.of(3, [Monomial((top, 0, 0)), Monomial((top - 1, 1, 0)),
+                                     Monomial((7, 2, 0))])
+        gens, masks, starts = _polarize(ideal)
+        # x1 ranks 0, 7, top - 1, top as 0, 2, 4, 5; x3 keeps one bit
+        assert starts == [0, 5, 7, 8]
+        assert max(masks).bit_length() <= starts[-1]
+        order = linear_quotients_order(ideal)
+        assert [g.exponents for g in order.gens] == [(7, 2, 0), (top - 1, 1, 0), (top, 0, 0)]
+        assert order.colon_vars == (0, 0b010, 0b010)
 
     @pytest.mark.parametrize("masks", [[0b00011, 0b01100, 0b10001, 0b00110],
                                        [0b00011, 0b00101, 0b00110]])
