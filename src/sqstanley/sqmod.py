@@ -13,24 +13,23 @@ inner ones.  Facets, minimal members, the dual check and the minimal
 presentation of a given family are all read off that word, and the
 cover searches for sdepth and hreg start from it.
 
-sdepth and hreg_min walk from a bound read off the facets or minimal
-members toward the answer.  Before each search, the number of support
-members on each level must pass an exact counting test; a size it
-rules out has no partition, so its search is skipped.  Each search
-runs in the level normal form.  To decide sdepth >= k it covers only
-the members of size at most k, with every top on level k, and makes
-each member above level k its own interval; Herzog-Vladoiu-Zheng show
-that a partition with tops of size at least k exists exactly when this
-one does.  Alexander duality takes the interval [b, t] to
-[complement of t, complement of b], so hreg <= h is decided on the
-members of size at least h, with every bottom on level h, and each
-member below level h its own interval.  That search runs on the
-complements of those members, read off the module's own support: the
-engine then forces the largest uncovered member as a top and guesses
-only bottoms on level h, mirroring the sdepth search on the dual
-support.  Every cover search, partition's included, is a gate over one
-helper, `_cover`, and only the public sdepth and hreg_min turn its
-pairs into a witness.
+sdepth and hreg_min are one walk, `_walk`, over two families.  It
+walks down from a bound to the largest k for which the family has a
+partition with every top of size at least k.  Before each search, the
+number of members on each level must pass an exact counting test; a
+size it rules out has no partition, so its search is skipped.  Each
+search runs in the level normal form: it covers only the members of
+size at most k, with every top on level k, and makes each member above
+level k its own interval; Herzog-Vladoiu-Zheng show that a partition
+with tops of size at least k exists exactly when this one does.
+sdepth walks the support.  Alexander duality takes the interval
+[b, t] to [complement of t, complement of b], so hreg_min walks the
+complements of the support members (the dual support) and mirrors the
+answer once: hreg = n - k, each pair coming back as [complement of t,
+complement of b].  Every cover search, partition's included, is a gate
+over one helper, `_cover`, and only the public sdepth and hreg_min turn
+its pairs into a witness.  `_is_partition` checks a witness with set
+code alone, apart from the cover engine.
 
 Quotients of non-squarefree ideals are admitted through a certificate:
 the module outer/inner is squarefree exactly when (a) every
@@ -63,6 +62,7 @@ from .setcalc import (
     family_word,
     one_larger,
     one_smaller,
+    submasks,
     up_closure,
     word_masks,
 )
@@ -325,10 +325,19 @@ def validate_decomposition(module: SqQuotient, dec: StanleyDecomposition) -> boo
     """Whether the intervals partition the support of the module."""
     if module.n != dec.n:
         raise NMismatchError(f"decomposition over n={dec.n} for module over n={module.n}")
-    covered = []
-    for iv in dec.intervals:
-        covered.extend(iv.member_masks())
-    return len(covered) == len(set(covered)) and set(covered) == set(module.support_masks())
+    return _is_partition(module.support_masks(),
+                         [(iv.bottom.mask, iv.top.mask) for iv in dec.intervals])
+
+
+def _is_partition(masks, pairs) -> bool:
+    """Whether the (bottom, top) mask pairs partition the distinct
+    `masks`; the member counts are compared first, so no more members
+    are listed than `masks` holds."""
+    if any(b & ~t for b, t in pairs):
+        return False
+    if sum(1 << (t & ~b).bit_count() for b, t in pairs) != len(masks):
+        return False
+    return {b | s for b, t in pairs for s in submasks(t & ~b)} == set(masks)
 
 
 def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
@@ -383,37 +392,6 @@ def _level_cover(masks, k):
     return None if found is None else found + [(m, m) for m in high]
 
 
-def _cover_min_top(module, k):
-    """A partition with every top of size at least k, if one exists,
-    in the level normal form of `_level_cover`."""
-    return _level_cover(module.support_masks(), k)
-
-
-def _cover_max_bottom(module, h):
-    """A partition with every bottom of size at most h, if one exists.
-
-    Alexander duality takes the interval [b, t] to [complement of t,
-    complement of b], so this is `_level_cover` at n - h on the
-    complements of the support members, mapped back: the members of
-    size at least h are covered with every bottom on level h, and each
-    member below level h is its own interval.  The engine forces the
-    smallest uncovered complement, that is the largest uncovered member
-    as a top, and guesses only bottoms on level h; the search tree is
-    the mirror of the sdepth search on the dual support.
-    """
-    full = (1 << module.n) - 1
-    found = _level_cover([full ^ m for m in module.support_masks()], module.n - h)
-    return None if found is None else [(full ^ t, full ^ b) for b, t in found]
-
-
-def _level_counts(module) -> list[int]:
-    """f[j] is the number of support members of size j, for j = 0..n."""
-    f = [0] * (module.n + 1)
-    for m in module.support_masks():
-        f[m.bit_count()] += 1
-    return f
-
-
 def _tops_can_reach(f, k) -> bool:
     """Whether level counts f leave room for a partition with every top
     of size at least k; False proves that no such partition exists.
@@ -423,9 +401,7 @@ def _tops_can_reach(f, k) -> bool:
     having a bottom of size b, f_j = sum_{b<=j} h_b C(k-b, j-b) for
     j <= k.  The system is triangular: solve it from the bottom level
     up and reject k at the first negative h_b (the h-vector test of
-    Ichim-Katthaen-Moyano-Fernandez).  k = 0 always passes.  The counts
-    of the dual support are f reversed, so the same solve at n - h tests
-    bottoms of size at most h.
+    Ichim-Katthaen-Moyano-Fernandez).  k = 0 always passes.
     """
     h = []
     for j in range(k + 1):
@@ -436,55 +412,53 @@ def _tops_can_reach(f, k) -> bool:
     return True
 
 
+def _walk(n, masks, bound) -> tuple[int, list]:
+    """The largest k <= bound for which the family `masks` of subsets of
+    [n] has a partition with every top of size at least k, and that
+    partition as (bottom, top) mask pairs, in the level normal form of
+    `_level_cover`.  Walking down from the bound, it skips each size the
+    level counts rule out; they never rule out 0 (singletons).
+    """
+    f = [0] * (n + 1)
+    for m in masks:
+        f[m.bit_count()] += 1
+    for k in range(bound, -1, -1):
+        if _tops_can_reach(f, k):
+            found = _level_cover(masks, k)
+            if found is not None:
+                return k, found
+    raise InternalCheckError("no partition even into singletons")
+
+
 def _sdepth_walk(module: SqQuotient) -> tuple[int, list]:
     """The Stanley depth, with a witness as (bottom, top) mask pairs.
 
     Interval partitions of the support realize the Stanley depth
     exactly, so this is a finite search.  The smallest facet of the
-    support bounds it above (a maximal support member can only be the
-    top of its own interval).  Walking down from that bound, each size
-    the level counts rule out is skipped, and the first size whose
-    search succeeds is the Stanley depth; that search's partition, in
-    the level normal form of `_cover_min_top`, is the witness.  The
-    test never rules out size 0 (singletons).
+    support bounds it above: a maximal support member can only be the
+    top of its own interval.
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no Stanley depth")
-    f = _level_counts(module)
-    for k in range(min(m.bit_count() for m in module.facet_masks()), -1, -1):
-        if not _tops_can_reach(f, k):
-            continue
-        found = _cover_min_top(module, k)
-        if found is not None:
-            return k, found
-    raise InternalCheckError("no partition even into singletons")
+    return _walk(module.n, module.support_masks(),
+                 min(m.bit_count() for m in module.facet_masks()))
 
 
 def _hreg_walk(module: SqQuotient) -> tuple[int, list]:
     """The smallest achievable hreg, with a witness as mask pairs.
 
-    Minimal support members are bottoms in every partition, so their
-    largest size is a lower bound; singleton intervals realize n.
-    Walking up from the bound, each size the reversed level counts rule
-    out is skipped, and the first size whose search succeeds is the
-    answer, with that search's partition, in the level normal form of
-    `_cover_max_bottom`, as the witness; size n (singletons) is never
-    ruled out.  Each probe mirrors the sdepth probe on the dual
-    support, so the walk repeats the dual's sdepth walk node for node
-    without building the dual module; the bottom-forced search in
-    tests/test_cover_gates.py is its independent check.
+    [b, t] -> [complement of t, complement of b] takes partitions with
+    bottoms of size at most h to partitions of the complements with
+    tops of size at least n - h, so this is the walk on the complements
+    (the dual support), mirrored once.  Minimal support members are
+    bottoms in every partition; the largest bounds h below.
     """
     if module.is_zero:
         raise ZeroModuleError("the zero module has no decompositions")
-    n = module.n
-    f = _level_counts(module)[::-1]
-    for h in range(max(m.bit_count() for m in module.minimal_masks()), n + 1):
-        if not _tops_can_reach(f, n - h):
-            continue
-        found = _cover_max_bottom(module, h)
-        if found is not None:
-            return h, found
-    raise InternalCheckError("no partition even into singletons")
+    n, full = module.n, (1 << module.n) - 1
+    k, pairs = _walk(n, [full ^ m for m in module.support_masks()],
+                     n - max(m.bit_count() for m in module.minimal_masks()))
+    return n - k, [(full ^ t, full ^ b) for b, t in pairs]
 
 
 def sdepth(module: SqQuotient) -> tuple[int, StanleyDecomposition]:

@@ -24,7 +24,7 @@ from .homology import DEFAULT_CHAR, betti, invariants
 from .ideals import SqIdeal
 from .instances import all_quotients, random_quotient
 from .setcalc import IndexSet
-from .sqmod import SqQuotient, _hreg_walk, _sdepth_walk, dualize_quotient
+from .sqmod import SqQuotient, _hreg_walk, _is_partition, _sdepth_walk, dualize_quotient
 
 EXHAUSTIVE_CAP = 4
 
@@ -74,22 +74,23 @@ class SurveyRecord:
 def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
     """Measure one module and enforce the proved identities on it.
 
-    hreg comes out twice: minimized directly, and read off the
-    dualized optimal sdepth decomposition of the dual module.  The two
-    must agree, just as projective dimension must match the dual
-    regularity; either failing is a defect, not a discovery.  The
-    direct search runs on the complements of the support, so the two
-    hreg values come from mirrored searches; the check of hreg that
-    shares no search with them is the bottom-forced oracle in
-    tests/test_cover_gates.py.
+    sdepth and hreg_min are one search each, on the support and on its
+    complements.  hreg_dual, n - sdepth of the dual, is by decomposition
+    duality the second search read the other way, so it equals hreg_min.
+    Projective dimension must match the dual regularity.  Both witnesses
+    are checked with set code, apart from the cover engine: each must
+    partition the support and attain its value (smallest top, largest
+    bottom).  That catches pairs that miss or repeat a member, and a
+    walk that refuses a feasible size and reports less than its own
+    partition reaches.  It proves no optimality: a refused size followed
+    by a partition attaining the next size passes.  Any failure is a
+    defect, not a discovery.
     """
     n = module.n
-    s, _ = _sdepth_walk(module)
-    h, _ = _hreg_walk(module)
-    dual = dualize_quotient(module)
-    dual_s, _ = _sdepth_walk(dual)
+    s, s_pairs = _sdepth_walk(module)
+    h, h_pairs = _hreg_walk(module)
     inv = invariants(module, char)
-    dual_table = betti(dual, char)
+    dual_table = betti(dualize_quotient(module), char)
     rec = SurveyRecord(
         n=n,
         inner=module.inner.gen_masks,
@@ -97,17 +98,20 @@ def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
         sdepth=s,
         depth=inv.depth,
         hreg_min=h,
-        hreg_dual=n - dual_s,
+        hreg_dual=h,
         reg=inv.reg,
         projdim=inv.projdim,
         dim=inv.dim,
         cohen_macaulay=inv.cohen_macaulay,
     )
     where = f"inner={rec.inner} outer={rec.outer} n={n}"
-    if rec.hreg_min != rec.hreg_dual:
-        raise TheoremViolationError(
-            f"direct hreg {rec.hreg_min} != dualized sdepth witness "
-            f"{rec.hreg_dual} on {where}")
+    masks = module.support_masks()
+    for name, value, pairs, reached in (
+            ("sdepth", s, s_pairs, min((t.bit_count() for _, t in s_pairs), default=None)),
+            ("hreg", h, h_pairs, max((b.bit_count() for b, _ in h_pairs), default=None))):
+        if reached != value or not _is_partition(masks, pairs):
+            raise TheoremViolationError(
+                f"{name}: witness is not a partition attaining {value} on {where}")
     if rec.projdim != dual_table.reg:
         raise TheoremViolationError(
             f"projdim {rec.projdim} != dual reg {dual_table.reg} on {where}")

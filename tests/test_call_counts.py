@@ -1,13 +1,16 @@
 """Each duality check computes each dual, Betti table and cover walk
-once.  The counts are pinned, so a change that repeats one of them
-shows here."""
+once, and searches each duality pair once: no caller runs a walk and
+its mirror on a module and its dual.  The counts are pinned, so a
+change that repeats one of them shows here."""
 
+import json
 import sys
 from collections import Counter
 
 import pytest
 
 from sqstanley import homology, sqmod, survey
+from sqstanley.cli import main
 from sqstanley.exterior import edual_decomposition, s_to_e_decomposition
 from sqstanley.filtration import dualize_filtration, facet_peel_filtration
 from sqstanley.instances import all_quotients
@@ -41,17 +44,29 @@ MODULES = [m for n in (2, 3) for m in list(all_quotients(n))[::7]]
 
 @pytest.mark.parametrize("check, expected", [
     (survey.survey_module,
-     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 2, "_hreg_walk": 1}),
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 1}),
     (homology.terai_check,
      {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0}),
     (homology.depth_duality_check,
-     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 1}),
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 0}),
 ], ids=["survey_module", "terai_check", "depth_duality_check"])
 def test_each_piece_computed_once(calls, check, expected):
     for module in MODULES:
         calls.update(dict.fromkeys(calls, 0))
         check(module)
         assert calls == expected, module
+
+
+def test_hreg_command_searches_once(calls, tmp_path, capsys):
+    # hreg_dual is the one hreg walk read the other way: no dual module,
+    # no second search
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"n": 4, "ideal": {"gens": [[1, 2], [2, 3], [3, 4]],
+                                                  "encoding": "support"}}))
+    assert main(["hreg", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hreg_min"] == doc["hreg_dual"]
+    assert calls == {"betti": 0, "dualize_quotient": 0, "_sdepth_walk": 0, "_hreg_walk": 1}
 
 
 def test_n4_sweep_shares_one_atom_per_value():

@@ -367,6 +367,17 @@ class TestLinquot:
         assert code == 0
         assert json.loads(out) == {"n": 12, "linear_quotients": False}
 
+    def test_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # all 1,365 degree-4 monomials in 12 variables have linear
+        # quotients, but the search recurses once per placed generator
+        gens = [[c.count(i) for i in range(12)]
+                for c in itertools.combinations_with_replacement(range(12), 4)]
+        path = write(tmp_path, "deg4.json",
+                     {"n": 12, "ideal": {"gens": gens, "encoding": "exponents"}})
+        code, out, err = run(capsys, "linquot", path)
+        assert code == 4 and out == ""
+        assert "recursion limit reached after placing" in err
+
     def test_largest_exponents(self, capsys, tmp_path):
         # the largest exponents an instance may carry; one past is refused
         top = MAX_EXPONENT - 1

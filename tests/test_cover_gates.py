@@ -7,11 +7,13 @@ and offer the same tops at every node, so their pair lists (None
 included) are the same.  The sdepth and hreg gates search the level
 normal form instead; the old closures stay as oracles for whether a
 partition exists, and the pairs are checked to be a partition in that
-normal form.  The hreg gate searches the complements of the members,
-so it and the survey's hreg_dual (n minus the dual's sdepth) run
-mirrored searches; the old bottom-forced closure is the independent
-route for hreg, checked here beyond n = 4 as well.  The last tests pin
-that the value-only callers build no witness.
+normal form.  The sdepth probe is `_level_cover` on the support; the
+hreg probe (the `max_bottom` fixture) is the same call on the
+complements of the members, mirrored, which is also the dual's sdepth
+probe, so hreg_dual (n minus the dual's sdepth) is no second route.
+The old bottom-forced closure is the independent route for hreg,
+checked here beyond n = 4 as well.  The last tests pin that the
+value-only callers build no witness.
 """
 
 import json
@@ -137,18 +139,18 @@ def check_gate(module, pairs, reference):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_module_gates(same, n):
+def test_module_gates(same, max_bottom, n):
     full = (1 << n) - 1
     found = []
     for module in all_quotients(n):
         for m in (module, dualize_quotient(module)):
             for k in range(n + 1):
-                pairs = check_gate(m, sqmod._cover_min_top(m, k), ref_min_top(m, k))
+                pairs = check_gate(m, sqmod._level_cover(m.support_masks(), k), ref_min_top(m, k))
                 assert pairs is None or in_normal_form(pairs, k)
                 found.append(pairs)
                 # [b, t] -> [complement of t, complement of b] takes
                 # bottoms of size at most k to tops of size at least n - k
-                pairs = check_gate(m, sqmod._cover_max_bottom(m, k), ref_max_bottom(m, k))
+                pairs = check_gate(m, max_bottom(m, k), ref_max_bottom(m, k))
                 assert pairs is None or in_normal_form(
                     [(full ^ t, full ^ b) for b, t in pairs], n - k)
                 found.append(pairs)
@@ -174,14 +176,14 @@ def _beyond_n4():
         yield random_quotient(rng, 5)
 
 
-def test_hreg_against_the_bottom_forced_search():
+def test_hreg_against_the_bottom_forced_search(max_bottom):
     # at the answer h a partition exists and at h - 1 none does, by the
     # old search as well as by the gate
     for module in _beyond_n4():
         h, _ = hreg_min(module)
         for k in range(max(h - 1, 0), h + 1):
             exists = first_interval_partition(*ref_max_bottom(module, k)) is not None
-            assert exists == (k == h) == (sqmod._cover_max_bottom(module, k) is not None)
+            assert exists == (k == h) == (max_bottom(module, k) is not None)
 
 
 def _complex_gates(same, cx):
@@ -235,8 +237,8 @@ def test_value_only_callers_build_no_witness(intervals_built):
 
 
 def test_hreg_command_builds_only_its_witness(intervals_built, tmp_path, capsys):
-    # the dual search gives hreg_dual as a value; only the direct
-    # search's witness is printed, so only its intervals are built
+    # hreg_dual is the one search's value read the other way; only its
+    # witness is printed, so only its intervals are built
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"n": 4, "ideal": {"gens": [[1, 2], [2, 3], [3, 4]],
                                                   "encoding": "support"}}))

@@ -83,16 +83,16 @@ def band(n, d, e):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_both_gates_at_every_size(compared, n):
+def test_both_gates_at_every_size(compared, max_bottom, n):
     for module in all_quotients(n):
         for k in range(n + 1):
-            sqmod._cover_min_top(module, k)
-            sqmod._cover_max_bottom(module, k)
+            sqmod._level_cover(module.support_masks(), k)
+            max_bottom(module, k)
     assert any(found is None for found in compared)
     assert any(found is not None for found in compared)
 
 
-def test_sdepth_on_every_n5_band(compared):
+def test_sdepth_on_every_n5_band(compared, max_bottom):
     # the level counts spare sdepth every failing search on these bands,
     # so both gates also run at every size to compare failing searches
     for d in range(6):
@@ -100,8 +100,8 @@ def test_sdepth_on_every_n5_band(compared):
             module = band(5, d, e)
             sdepth(module)
             for k in range(6):
-                sqmod._cover_min_top(module, k)
-                sqmod._cover_max_bottom(module, k)
+                sqmod._level_cover(module.support_masks(), k)
+                max_bottom(module, k)
     assert any(found is None for found in compared)
     assert any(found is not None for found in compared)
 

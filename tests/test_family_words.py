@@ -265,17 +265,20 @@ def probe_count(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("search, probe, module, value, probes", [
+@pytest.mark.parametrize("search, module, value, probes", [
     # m at n=4: the level counts rule out sdepth 4 and 3, so the one probe
     # is at 2; hreg_min's bound 1 is feasible at once
-    (sdepth, sqmod._cover_min_top, max_ideal_mod(4), 2, 1),
-    (hreg_min, sqmod._cover_max_bottom, max_ideal_mod(4), 1, 1),
+    (sdepth, max_ideal_mod(4), 2, 1),
+    (hreg_min, max_ideal_mod(4), 1, 1),
     # the bound is the answer: support {0} for sdepth, {[n]} for hreg_min
-    (sdepth, sqmod._cover_min_top, SqQuotient.from_support(4, [0]), 0, 1),
-    (hreg_min, sqmod._cover_max_bottom, SqQuotient.from_support(4, [15]), 4, 1),
+    (sdepth, SqQuotient.from_support(4, [0]), 0, 1),
+    (hreg_min, SqQuotient.from_support(4, [15]), 4, 1),
 ])
-def test_last_feasible_probe_is_the_witness(probe_count, search, probe, module, value, probes):
+def test_last_feasible_probe_is_the_witness(probe_count, max_bottom, search, module, value,
+                                            probes):
     got, dec = search(module)
     assert got == value
     assert len(probe_count) == probes
-    assert dec == StanleyDecomposition.from_masks(module.n, probe(module, value))
+    pairs = (sqmod._level_cover(module.support_masks(), value) if search is sdepth
+             else max_bottom(module, value))
+    assert dec == StanleyDecomposition.from_masks(module.n, pairs)

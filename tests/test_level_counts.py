@@ -1,9 +1,10 @@
 """The level-count test that lets sdepth and hreg_min skip searches.
 
-The mirror test on a module is the direct test on its dual, so the
-survey's check hreg_min == n - sdepth(dual) cannot catch a test that
-wrongly rejects a feasible size.  Here the test is held against the
-search itself: every size it rejects must be one the search fails on.
+The mirror test on a module is the direct test on its dual, and the
+survey's witness check cannot see a feasible size that the test
+wrongly rejects when the walk then finds a partition attaining the
+next size down.  Here the test is held against the search itself:
+every size it rejects must be one the search fails on.
 The last tests run the searches on modules that finished only once
 each probe searched its level normal form.
 """
@@ -31,18 +32,20 @@ def band(n, d, e):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rejected_sizes_have_no_partition(n):
+def test_rejected_sizes_have_no_partition(max_bottom, n):
     rejected = 0
     for module in all_quotients(n):
         for m in (module, dualize_quotient(module)):
-            f = sqmod._level_counts(m)
+            f = [0] * (n + 1)
+            for s in m.support_masks():
+                f[s.bit_count()] += 1
             for k in range(n + 1):
                 if not sqmod._tops_can_reach(f, k):
                     rejected += 1
-                    assert sqmod._cover_min_top(m, k) is None
+                    assert sqmod._level_cover(m.support_masks(), k) is None
                 if not sqmod._tops_can_reach(f[::-1], n - k):
                     rejected += 1
-                    assert sqmod._cover_max_bottom(m, k) is None
+                    assert max_bottom(m, k) is None
             assert sqmod._tops_can_reach(f, sdepth(m)[0])
             assert sqmod._tops_can_reach(f[::-1], n - hreg_min(m)[0])
     if n > 1:

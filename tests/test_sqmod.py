@@ -11,6 +11,8 @@ from sqstanley.setcalc import IndexSet, Interval, family_word
 from sqstanley.sqmod import (
     SqQuotient,
     StanleyDecomposition,
+    _is_partition,
+    _level_cover,
     associated_primes,
     build_quotient,
     dualize_decomposition,
@@ -236,9 +238,8 @@ class TestSdepth:
             assert validate_decomposition(m, dec)
             assert validate_decomposition(m, hdec)
 
-    def test_optimality(self):
+    def test_optimality(self, max_bottom):
         rng = random.Random(97)
-        from sqstanley.sqmod import _cover_max_bottom, _cover_min_top
         for _ in range(30):
             n = rng.randint(1, 4)
             m = _random_module(rng, n)
@@ -246,10 +247,10 @@ class TestSdepth:
                 continue
             k, dec = sdepth(m)
             assert validate_decomposition(m, dec) and dec.sdepth >= k
-            assert _cover_min_top(m, k + 1) is None
+            assert _level_cover(m.support_masks(), k + 1) is None
             h, hdec = hreg_min(m)
             assert validate_decomposition(m, hdec) and hdec.hreg <= h
-            assert h == 0 or _cover_max_bottom(m, h - 1) is None
+            assert h == 0 or max_bottom(m, h - 1) is None
 
 
 class TestHregMin:
@@ -313,6 +314,12 @@ class TestDecompositions:
         assert not validate_decomposition(m, overlap)
         gap = StanleyDecomposition.from_masks(2, [(0, 1)])
         assert not validate_decomposition(m, gap)
+        # raw pairs, as the survey checks its witnesses: a bottom outside
+        # its top, and a repeat that keeps the member count
+        masks = m.support_masks()
+        assert _is_partition(masks, [(0, 1), (2, 2)])
+        assert not _is_partition(masks, [(1, 0), (0, 0), (2, 2)])
+        assert not _is_partition(masks, [(0, 1), (1, 1)])
 
     def test_dualize_involution_and_validity(self):
         rng = random.Random(59)
