@@ -195,6 +195,8 @@ def _parse_filtration_document(text, cap_n):
         raise FormatError("'filtration' needs 'base' and 'steps'")
     base = SqIdeal.of(n, [g.support_mask
                           for g in parse_gens(n, block["base"], "base")])
+    if not isinstance(block["steps"], list):
+        raise FormatError(f"'steps' must be a list, got {block['steps']!r}")
     steps = []
     for k, s in enumerate(block["steps"]):
         if not isinstance(s, dict) or "degree" not in s or "prime" not in s:

@@ -19,10 +19,10 @@ direction.
 The search state is the uncovered part of the support as a family word
 (see setcalc): the forced bottom is its lowest set bit, an interval
 fits when its word lies inside the state, and placing it is one xor.
-Exhausted states are memoized by their word.
+Exhausted states are memoized by their word.  That one word is the
+whole state: a backtrack xors the interval back in, so the depth is
+bounded by memory, not by the interpreter's recursion limit.
 """
-
-from .errors import CapExceededError
 
 
 def _interval_word(bottom: int, top: int) -> int:
@@ -46,44 +46,38 @@ def first_interval_partition(support, tops_for):
     Returns the first partition found as a list of (bottom, top) mask
     pairs in discovery order, or None when no partition exists.
     Exhausted states are memoized so the search never re-enters a
-    subtree known to fail.  A search deeper than the interpreter's
-    recursion limit raises CapExceededError.
-    """
-    dead = set()
-    chosen = []
-    intervals = {}
+    subtree known to fail.
 
-    def extend(uncovered):
-        if not uncovered:
-            return True
-        if uncovered in dead:
-            return False
+    An explicit stack holds one candidate iterator per open state, and
+    a backtrack xors the cached interval word back into the one state
+    word, so the depth is bounded by memory alone.
+    """
+    chosen, frames, intervals, dead = [], [], {}, set()
+    uncovered = support
+    while uncovered:
         bottom = (uncovered & -uncovered).bit_length() - 1
-        for top in tops_for(bottom):
-            if bottom & ~top:
-                continue
-            key = (bottom, top)
-            iv = intervals.get(key)
-            if iv is None:
-                iv = intervals[key] = _interval_word(bottom, top)
-            if iv & ~uncovered:
+        tops = iter(tops_for(bottom))
+        frames.append(tops)
+        while True:  # next fitting candidate, leaving exhausted states
+            for top in tops:
+                if bottom & ~top:
+                    continue
+                key = (bottom, top)
+                iv = intervals.get(key)
+                if iv is None:
+                    iv = intervals[key] = _interval_word(bottom, top)
+                if not iv & ~uncovered and uncovered ^ iv not in dead:
+                    break
+            else:
+                dead.add(uncovered)
+                frames.pop()
+                if not frames:
+                    return None
+                key = chosen.pop()
+                uncovered ^= intervals[key]
+                bottom, tops = key[0], frames[-1]
                 continue
             chosen.append(key)
-            if extend(uncovered ^ iv):
-                return True
-            chosen.pop()
-        dead.add(uncovered)
-        return False
-
-    try:
-        if extend(support):
-            return chosen
-        return None
-    except RecursionError:
-        raise CapExceededError(
-            "interval cover search too deep: recursion limit reached "
-            f"after choosing {len(chosen)} intervals") from None
-    finally:
-        # extend's closure refers to extend itself; break that cycle so
-        # the memo is freed on return, not at the next collection
-        extend = None
+            uncovered ^= iv
+            break
+    return chosen

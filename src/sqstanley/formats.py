@@ -44,6 +44,8 @@ class QuotientSpec(NamedTuple):
 
 def parse_support(n, row, where="support") -> IndexSet:
     """One strictly increasing 1-based support list as an index set."""
+    if not isinstance(row, list):
+        raise FormatError(f"{where}: expected a support list, got {row!r}")
     members = []
     last = 0
     for x in row:
@@ -98,6 +100,8 @@ def _load_json(source):
         return json.loads(source)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
 
 
 def parse_instance(source):

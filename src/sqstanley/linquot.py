@@ -19,7 +19,7 @@ no interval decomposition is attempted here.
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InternalCheckError
+from .errors import InternalCheckError
 from .ideals import Monomial, SqIdeal
 from .setcalc import Interval, IndexSet, colon_prime
 from .sqmod import SqQuotient, StanleyDecomposition, validate_decomposition
@@ -74,40 +74,37 @@ def _polarize(ideal) -> tuple[tuple[Monomial, ...], list[int], list[int]]:
 
 
 def linear_quotients_order(ideal):
-    """First linear quotients ordering in canonical order, or None."""
+    """First linear quotients ordering in canonical order, or None.
+
+    The search keeps one state, the placed generators with their masks
+    and colons (each colon recorded as its step is placed), and pops
+    all three on backtrack, so its depth is bounded by memory alone.
+    """
     gens, masks, starts = _polarize(ideal)
-    chosen = []
-    dead = set()
-
-    def extend(used):
-        if len(chosen) == len(masks):
-            return True
-        if used in dead:
-            return False
-        placed = [masks[j] for j in chosen]
-        for i, h in enumerate(masks):
-            if used >> i & 1 or colon_prime(placed, h) is None:
+    chosen, placed, colons, dead = [], [], [], set()
+    used = i = 0
+    while len(chosen) < len(masks):
+        for i in range(i, len(masks)):
+            if used >> i & 1 or used | 1 << i in dead:
                 continue
-            chosen.append(i)
-            if extend(used | 1 << i):
-                return True
-            chosen.pop()
-        dead.add(used)
-        return False
-
-    try:
-        if not extend(0):
-            return None
-    except RecursionError:
-        raise CapExceededError(
-            "linear quotients search too deep: recursion limit reached "
-            f"after placing {len(chosen)} generators") from None
-    finally:
-        # extend's closure refers to extend itself; break that cycle so
-        # the memo is freed on return, not at the next collection
-        extend = None
-    placed = [masks[i] for i in chosen]
-    colons = (colon_prime(placed[:k], h) for k, h in enumerate(placed))
+            colon = colon_prime(placed, masks[i])
+            if colon is not None:
+                break
+        else:
+            dead.add(used)
+            if not chosen:
+                return None
+            i = chosen.pop()
+            placed.pop()
+            colons.pop()
+            used ^= 1 << i
+            i += 1
+            continue
+        chosen.append(i)
+        placed.append(masks[i])
+        colons.append(colon)
+        used |= 1 << i
+        i = 0
     # x_k is a colon variable when the colon has a bit in its block
     blocks = [(1 << b) - (1 << a) for a, b in zip(starts, starts[1:])]
     colon_vars = tuple(sum(1 << k for k, block in enumerate(blocks) if f & block) for f in colons)

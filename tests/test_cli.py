@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import time
 
@@ -242,6 +243,22 @@ class TestFiltration:
         code, _, _ = run(capsys, "filtration", "validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("field, steps", [
+        ("'steps'", 5), ("'steps'", None), ("'steps'", True), ("'steps'", 1.5),
+        ("step 0 degree", [{"degree": 5, "prime": []}]),
+        ("step 0 prime", [{"degree": [], "prime": 5}]),
+    ])
+    @pytest.mark.parametrize("action", ["validate", "dualize"])
+    def test_malformed_steps_name_the_field(self, capsys, hypersurface, tmp_path,
+                                            field, steps, action):
+        _, out, _ = run(capsys, "filtration", "build", hypersurface)
+        doc = json.loads(out)
+        doc["filtration"]["steps"] = steps
+        path = write(tmp_path, "steps.json", doc)
+        code, out, err = run(capsys, "filtration", action, path)
+        assert (code, out) == (2, "")
+        assert field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("change", [
         lambda doc: "{not json",
         lambda doc: {**doc, "version": 2},
@@ -369,14 +386,22 @@ class TestLinquot:
 
     def test_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # all 1,365 degree-4 monomials in 12 variables have linear
-        # quotients, but the search recurses once per placed generator
+        # quotients: one step per generator, more than the interpreter's
+        # default recursion limit
         gens = [[c.count(i) for i in range(12)]
                 for c in itertools.combinations_with_replacement(range(12), 4)]
         path = write(tmp_path, "deg4.json",
                      {"n": 12, "ideal": {"gens": gens, "encoding": "exponents"}})
+        start = time.perf_counter()
         code, out, err = run(capsys, "linquot", path)
-        assert code == 4 and out == ""
-        assert "recursion limit reached after placing" in err
+        assert time.perf_counter() - start < 30
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["linear_quotients"] is True
+        assert sorted(doc["order"]) == sorted(gens)
+        # the Veronese ideal is m-primary, so its projective dimension,
+        # the r of any linear quotients order, is n - 1
+        assert doc["r"] == 11
 
     def test_largest_exponents(self, capsys, tmp_path):
         # the largest exponents an instance may carry; one past is refused
@@ -526,6 +551,13 @@ class TestPlumbing:
         code, _, _ = run(capsys, "sdepth", str(path))
         assert code == 2
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "sdepth", str(path))
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err and "Traceback" not in err
+
     def test_bool_where_an_int_belongs(self, capsys, tmp_path):
         path = write(tmp_path, "b.json",
                      {"n": True, "ideal": {"gens": [[1]], "encoding": "support"}})
@@ -541,15 +573,17 @@ class TestPlumbing:
         code, out, _ = run(capsys, "--cap-n", "13", "sdepth", path)
         assert code == 0
 
-    def test_too_deep_search(self, capsys, tmp_path):
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # the face ring of the 5-skeleton needs one interval per facet,
-        # 1716 of them: deeper than the recursion limit
+        # 1716 of them: more than the interpreter's default recursion limit
         facets = [list(f) for f in itertools.combinations(range(1, 14), 6)]
         path = write(tmp_path, "deep.json", {"n": 13, "complex": {"facets": facets}})
         code, out, err = run(capsys, "--cap-n", "13", "sdepth", path)
-        assert code == 4
-        assert out == ""
-        assert "intervals" in err and "Traceback" not in err
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        # the smallest facet size bounds sdepth, and singletons attain it
+        assert doc["sdepth"] == 6
+        assert len(doc["decomposition"]["intervals"]) == math.comb(13, 6)
 
     def test_timings_to_stderr(self, capsys, hypersurface):
         code, out, err = run(capsys, "--timings", "sdepth", hypersurface)

@@ -7,17 +7,17 @@ list (None included) and ask `tops_for` the same number of times on
 every search below.
 """
 
+import math
 import random
 
 import pytest
 
 from sqstanley import sqmod
 from sqstanley.cover import first_interval_partition
-from sqstanley.errors import CapExceededError
 from sqstanley.instances import all_quotients, random_complex
 from sqstanley.partition import face_ring, find_partition, generator_bottom_decomposition
 from sqstanley.setcalc import submasks, word_masks
-from sqstanley.sqmod import SqQuotient, dualize_quotient, sdepth
+from sqstanley.sqmod import SqQuotient, dualize_quotient, hreg_min, sdepth, validate_decomposition
 
 
 def reference_partition(support, tops_for):
@@ -118,8 +118,12 @@ def test_partitions_of_random_complexes(compared):
     assert any(found is not None for found in compared)
 
 
-def test_too_deep_search_is_a_cap_error():
-    # the level-6 antichain at n=13 needs 1716 singleton intervals
+def test_level_six_band_at_n13():
+    # the level-6 antichain at n=13 has exactly one partition, 1716
+    # singletons, more than the interpreter's default recursion limit
     module = band(13, 6, 6)
-    with pytest.raises(CapExceededError, match=r"after choosing \d+ intervals"):
-        sdepth(module)
+    for search in (sdepth, hreg_min):
+        value, dec = search(module)
+        assert value == 6
+        assert len(dec.intervals) == math.comb(13, 6)
+        assert validate_decomposition(module, dec)
