@@ -8,14 +8,17 @@ block means exactly that pair.  The linquot command is the exception,
 operating on the ideal itself.
 
 Exit codes: 0 for any completed computation, including a sweep that
-flags conjecture counterexamples; 1 for usage errors; 2 for inputs
-that cannot be read or fail their contracts; 3 when a proved statement
-fails to verify, which means a defect in this package; 4 when a size
-cap is exceeded.
+flags conjecture counterexamples; 1 for usage errors, a negative
+--cap-n among them; 2 for inputs that cannot be read or fail their
+contracts; 3 when a proved statement fails to verify, which means a
+defect in this package; 4 when a size cap is exceeded, checked on an
+instance's n as soon as its JSON is decoded.
 
-Output is byte-identical across runs with the same inputs and seed.
-Timing notes are opt-in (--timings) and go to stderr, keeping stdout
-clean.
+Each command returns its output, a JSON payload and, for the tabular
+commands, CSV rows; ``main`` alone writes stdout, which is
+byte-identical across runs with the same inputs and seed.  --timings
+prints one ``[time] <command>: <s>s`` line per command to stderr,
+keeping stdout clean.
 """
 
 import argparse
@@ -60,6 +63,8 @@ from .sqmod import SqQuotient, build_quotient, dualize_quotient, hreg_min, sdept
 from .survey import EXHAUSTIVE_CAP, counterexamples, survey_exhaustive, survey_random
 
 DEFAULT_CAP_N = 12
+# the commands whose output has no table form, refused with --format csv
+STRUCTURED = frozenset({"dual", "decompose", "filtration", "exterior"})
 
 
 class UsageError(Exception):
@@ -71,34 +76,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _note(args, label, start):
-    if args.timings:
-        print(f"[time] {label}: {time.perf_counter() - start:.3f}s",
-              file=sys.stderr)
-
-
-def _read_source(path):
+def _read_document(args):
+    """The JSON document named by args.instance (``-`` for stdin),
+    decoded, and refused before anything is built from it when its n is
+    above the cap."""
+    path = args.instance
     if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    obj = _load_json(text)
+    if not isinstance(obj, dict):
+        raise FormatError("instance document must be a JSON object")
+    n = obj.get("n")
+    cap = args.cap_n if args.cap_n is not None else DEFAULT_CAP_N
+    if type(n) is int and n > cap:
+        raise CapExceededError(f"instance has n={n}, above the cap {cap}; "
+                               "raise --cap-n knowingly")
+    return obj
 
 
-def _check_cap(parsed, cap_n):
-    """The parsed instance, once its n is within the cap."""
-    cap = cap_n if cap_n is not None else DEFAULT_CAP_N
-    if parsed.n > cap:
-        raise CapExceededError(
-            f"instance has n={parsed.n}, above the cap {cap}; "
-            "raise --cap-n knowingly")
-    return parsed
-
-
-def _load(path, cap_n):
-    return _check_cap(parse_instance(_read_source(path)), cap_n)
+def _load(args):
+    return parse_instance(_read_document(args))
 
 
 def _as_module(parsed) -> SqQuotient:
@@ -110,84 +113,53 @@ def _as_module(parsed) -> SqQuotient:
 
 
 def _nonzero_module(args) -> SqQuotient:
-    module = _as_module(_load(args.instance, args.cap_n))
+    module = _as_module(_load(args))
     if module.is_zero:
         raise ZeroModuleError("the quotient is zero; nothing to compute")
     return module
 
 
-def _emit(args, payload):
-    sys.stdout.write(dump_json(payload))
-
-
-def _emit_rows(args, rows, payload):
-    if args.format == "csv":
-        write_csv(rows, sys.stdout)
-    else:
-        _emit(args, payload)
-
-
-def _json_only(args):
-    if args.format == "csv":
-        raise UsageError("this command emits structured output; use --format json")
-
-
 def cmd_dual(args):
-    _json_only(args)
-    parsed = _load(args.instance, args.cap_n)
+    parsed = _load(args)
     if isinstance(parsed, MonomialIdeal):
         result = tilde(SqIdeal.from_monomial_ideal(parsed))
     elif isinstance(parsed, QuotientSpec):
         result = dualize_quotient(build_quotient(parsed.inner, parsed.outer))
     else:
         result = alexander_dual(parsed)
-    _emit(args, instance_document(result))
-    return 0
+    return instance_document(result), None
 
 
 def cmd_sdepth(args):
     module = _nonzero_module(args)
-    start = time.perf_counter()
     value, dec = sdepth(module)
-    _note(args, "sdepth search", start)
     rows = [{"n": module.n, "sdepth": value, "intervals": len(dec.intervals)}]
-    _emit_rows(args, rows, {"n": module.n, "sdepth": value,
-                            "decomposition": to_jsonable(dec)})
-    return 0
+    return {"n": module.n, "sdepth": value, "decomposition": to_jsonable(dec)}, rows
 
 
 def cmd_hreg(args):
     module = _nonzero_module(args)
-    start = time.perf_counter()
     # hreg_dual = n - sdepth(dual) is this search read the other way
     value, dec = hreg_min(module)
-    _note(args, "hreg search", start)
-    rows = [{"n": module.n, "hreg_min": value, "hreg_dual": value}]
-    _emit_rows(args, rows, {"n": module.n, "hreg_min": value,
-                            "hreg_dual": value,
-                            "decomposition": to_jsonable(dec)})
-    return 0
+    row = {"n": module.n, "hreg_min": value, "hreg_dual": value}
+    return {**row, "decomposition": to_jsonable(dec)}, [row]
 
 
 def cmd_decompose(args):
-    _json_only(args)
     module = _nonzero_module(args)
     value, dec = sdepth(module)
-    _emit(args, {"n": module.n, "sdepth": value, "hreg": dec.hreg,
-                 "decomposition": to_jsonable(dec)})
-    return 0
+    return {"n": module.n, "sdepth": value, "hreg": dec.hreg,
+            "decomposition": to_jsonable(dec)}, None
 
 
 def _filtration_document(module, filt):
     return {**instance_document(module), "filtration": to_jsonable(filt)}
 
 
-def _parse_filtration_document(text, cap_n):
-    obj = _load_json(text)
-    if not isinstance(obj, dict) or "filtration" not in obj or "quotient" not in obj:
+def _parse_filtration_document(obj):
+    if "filtration" not in obj or "quotient" not in obj:
         raise FormatError("expected a document with 'quotient' and 'filtration'")
     spec = parse_instance({k: obj[k] for k in ("version", "n", "quotient") if k in obj})
-    _check_cap(spec, cap_n)
     n = spec.n
     module = build_quotient(spec.inner, spec.outer)
     block = obj["filtration"]
@@ -208,26 +180,21 @@ def _parse_filtration_document(text, cap_n):
 
 
 def cmd_filtration(args):
-    _json_only(args)
     if args.action == "build":
-        module = _as_module(_load(args.instance, args.cap_n))
+        module = _as_module(_load(args))
         filt = facet_peel_filtration(module)
-        _emit(args, _filtration_document(module, filt))
-        return 0
-    module, filt = _parse_filtration_document(_read_source(args.instance), args.cap_n)
+        return _filtration_document(module, filt), None
+    module, filt = _parse_filtration_document(_read_document(args))
     if args.action == "validate":
-        _emit(args, {"n": module.n, "valid": validate_filtration(module, filt)})
-        return 0
+        return {"n": module.n, "valid": validate_filtration(module, filt)}, None
     if not validate_filtration(module, filt):
         raise FormatError("the filtration does not validate against its quotient; "
                           "refusing to dualize it")
     dual_filt = dualize_filtration(filt)
-    _emit(args, _filtration_document(dualize_quotient(module), dual_filt))
-    return 0
+    return _filtration_document(dualize_quotient(module), dual_filt), None
 
 
 def cmd_exterior(args):
-    _json_only(args)
     module = _nonzero_module(args)
     emod = to_exterior(module)
     if args.action == "theta":
@@ -240,39 +207,33 @@ def cmd_exterior(args):
         if f.mask not in emod.support_masks():
             raise FormatError(f"{f} is not in the support of the quotient")
         image = theta_monomial(emod, f)
-        _emit(args, {"n": module.n, "set": to_jsonable(f),
-                     "theta": to_jsonable(image)})
-        return 0
+        return {"n": module.n, "set": to_jsonable(f),
+                "theta": to_jsonable(image)}, None
     value, dec = sdepth(module)
     epieces = s_to_e_decomposition(dec)
     dual, signs = edual_decomposition(epieces)
-    _emit(args, {"n": module.n, "sdepth": value,
-                 "pieces": to_jsonable(epieces),
-                 "dual_pieces": to_jsonable(dual),
-                 "signs": list(signs)})
-    return 0
+    return {"n": module.n, "sdepth": value,
+            "pieces": to_jsonable(epieces),
+            "dual_pieces": to_jsonable(dual),
+            "signs": list(signs)}, None
 
 
 def cmd_invariants(args):
     module = _nonzero_module(args)
-    start = time.perf_counter()
     inv = invariants(module, args.char)
-    _note(args, "betti", start)
     payload = to_jsonable(inv)
     row = {k: v for k, v in payload.items() if k != "betti"}
-    _emit_rows(args, [row], payload)
-    return 0
+    return payload, [row]
 
 
 def cmd_linquot(args):
-    parsed = _load(args.instance, args.cap_n)
+    parsed = _load(args)
     if not isinstance(parsed, MonomialIdeal):
         raise FormatError("linquot expects an ideal instance")
     order = linear_quotients_order(parsed)
     if order is None:
         row = {"n": parsed.n, "linear_quotients": False}
-        _emit_rows(args, [row], row)
-        return 0
+        return row, [row]
     payload = {"n": parsed.n, "linear_quotients": True,
                "order": [to_jsonable(g) for g in order.gens],
                "colon_vars": [sorted(IndexSet(parsed.n, v).members)
@@ -284,27 +245,22 @@ def cmd_linquot(args):
         payload["sdepth"] = dec.sdepth if dec.intervals else None
     row = {"n": parsed.n, "linear_quotients": True, "r": order.r,
            "order": " ".join(str(g) for g in order.gens)}
-    _emit_rows(args, [row], payload)
-    return 0
+    return payload, [row]
 
 
 def cmd_partition(args):
-    parsed = _load(args.instance, args.cap_n)
+    parsed = _load(args)
     if not isinstance(parsed, SimplicialComplex):
         raise FormatError("partition expects a complex instance")
     if parsed.is_void:
         raise FormatError("the void complex has no face ring")
-    start = time.perf_counter()
     rec = partition_duality_check(parsed, args.char)
-    _note(args, "partition search", start)
     row = {"n": rec.n, "partitionable": rec.partitionable,
            "cohen_macaulay": rec.cohen_macaulay,
            "dual_generator_bottoms": rec.dual_generator_bottoms,
            "ok": rec.ok}
-    payload = dict(row)
-    payload["partition"] = to_jsonable(rec.partition) if rec.partition else None
-    _emit_rows(args, [row], payload)
-    return 0
+    partition = to_jsonable(rec.partition) if rec.partition else None
+    return {**row, "partition": partition}, [row]
 
 
 def _survey_cap(args):
@@ -327,7 +283,6 @@ def cmd_survey(args):
     if args.count is not None and args.n > cap:
         raise CapExceededError(f"random survey at n={args.n}, above the cap {cap}; "
                                "raise --cap-n knowingly")
-    start = time.perf_counter()
     if args.count is None:
         records = survey_exhaustive(args.n, char=args.char, cap=cap,
                                     jobs=args.jobs)
@@ -336,17 +291,15 @@ def cmd_survey(args):
         records = survey_random(args.n, args.count, seed=args.seed,
                                 char=args.char, jobs=args.jobs)
         mode = "random"
-    _note(args, f"survey {mode}", start)
     bad = counterexamples(records)
+    if bad:
+        print(f"{len(bad)} conjecture counterexample(s) flagged", file=sys.stderr)
     rows = [r.row() for r in records]
     payload = {"n": args.n, "mode": mode, "count": len(records),
                "counterexamples": len(bad), "records": rows}
     if mode == "random":
         payload["seed"] = args.seed
-    _emit_rows(args, rows, payload)
-    if bad:
-        print(f"{len(bad)} conjecture counterexample(s) flagged", file=sys.stderr)
-    return 0
+    return payload, rows
 
 
 def _build_parser():
@@ -364,7 +317,7 @@ def _build_parser():
                         f"{DEFAULT_CAP_N}, or {EXHAUSTIVE_CAP} for the "
                         "exhaustive survey)")
     p.add_argument("--timings", action="store_true",
-                   help="print phase timings to stderr")
+                   help="print the command's run time to stderr")
     sub = p.add_subparsers(dest="command", required=True)
 
     def instance_cmd(name, fn, help_text):
@@ -426,7 +379,20 @@ def main(argv=None) -> int:
             check_char(args.char)
         except ValueError as e:
             raise UsageError(f"--char: {e}") from None
-        return args.fn(args)
+        if args.cap_n is not None and args.cap_n < 0:
+            raise UsageError(f"--cap-n must be at least 0, got {args.cap_n}")
+        if args.format == "csv" and args.command in STRUCTURED:
+            raise UsageError("this command emits structured output; use --format json")
+        start = time.perf_counter()
+        payload, rows = args.fn(args)
+        if args.timings:
+            print(f"[time] {args.command}: {time.perf_counter() - start:.3f}s",
+                  file=sys.stderr)
+        if args.format == "csv":
+            write_csv(rows, sys.stdout)
+        else:
+            sys.stdout.write(dump_json(payload))
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

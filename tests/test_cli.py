@@ -35,9 +35,11 @@ def path_complex(tmp_path):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail the test if a survey starts: no pool, no sweep."""
+    """Fail the test if work starts: no instance parsed, no survey pool
+    or sweep."""
     def refuse(*args, **kwargs):
-        pytest.fail("the survey started work")
+        pytest.fail("the command started work")
+    monkeypatch.setattr(cli, "parse_instance", refuse)
     monkeypatch.setattr(survey, "Pool", refuse)
     monkeypatch.setattr(cli, "survey_exhaustive", refuse)
     monkeypatch.setattr(cli, "survey_random", refuse)
@@ -573,6 +575,37 @@ class TestPlumbing:
         code, out, _ = run(capsys, "--cap-n", "13", "sdepth", path)
         assert code == 0
 
+    @pytest.mark.parametrize("n", [13, 65, 100, 10 ** 8])
+    @pytest.mark.parametrize("kind, argv", [
+        ("ideal", ["sdepth"]), ("quotient", ["sdepth"]), ("complex", ["sdepth"]),
+        ("filtration", ["filtration", "validate"]),
+        ("filtration", ["filtration", "dualize"]),
+    ], ids=["ideal", "quotient", "complex", "validate", "dualize"])
+    def test_any_n_above_the_cap_exits_4(self, capsys, tmp_path, n, kind, argv):
+        # the cap is checked on the decoded document, before anything is
+        # built, so even an n past the library's MAX_N of 64 gets exit 4
+        quotient = {"inner": {"gens": []}, "outer": {"gens": [[1]]}}
+        path = write(tmp_path, "big.json", {"n": n, **{
+            "ideal": {"ideal": {"gens": [[1]]}},
+            "quotient": {"quotient": quotient},
+            "complex": {"complex": {"facets": [[1]]}},
+            "filtration": {"quotient": quotient, "filtration": {
+                "base": {"gens": []}, "steps": [{"degree": [], "prime": [1]}]}},
+        }[kind]})
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (4, "")
+        assert "above the cap 12" in err
+        if 64 < n <= 100:
+            code, out, err = run(capsys, "--cap-n", "100", *argv, path)
+            assert (code, out) == (2, "")
+            assert "64" in err
+
+    @pytest.mark.parametrize("argv", [["sdepth", "x.json"], ["survey", "--n", "2"]])
+    def test_negative_cap_is_usage_error(self, capsys, no_work, argv):
+        code, out, err = run(capsys, "--cap-n", "-1", *argv)
+        assert (code, out) == (1, "")
+        assert "usage error" in err and "--cap-n" in err
+
     def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         # the face ring of the 5-skeleton needs one interval per facet,
         # 1716 of them: more than the interpreter's default recursion limit
@@ -585,12 +618,20 @@ class TestPlumbing:
         assert doc["sdepth"] == 6
         assert len(doc["decomposition"]["intervals"]) == math.comb(13, 6)
 
-    def test_timings_to_stderr(self, capsys, hypersurface):
-        code, out, err = run(capsys, "--timings", "sdepth", hypersurface)
+    @pytest.mark.parametrize("argv", [
+        ["dual", "ideal"], ["sdepth", "ideal"], ["hreg", "ideal"],
+        ["decompose", "ideal"], ["filtration", "build", "ideal"],
+        ["exterior", "edual", "ideal"], ["invariants", "ideal"],
+        ["linquot", "ideal"], ["partition", "complex"], ["survey", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_timings_to_stderr(self, capsys, hypersurface, path_complex, argv):
+        argv = [{"ideal": hypersurface, "complex": path_complex}.get(a, a)
+                for a in argv]
+        code, out, err = run(capsys, "--timings", *argv)
         assert code == 0
-        assert "[time]" in err
-        plain = run(capsys, "sdepth", hypersurface)
-        assert out == plain[1]
+        timings = [line for line in err.splitlines() if line.startswith("[time] ")]
+        assert len(timings) == 1 and timings[0].startswith(f"[time] {argv[0]}: ")
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -149,3 +149,28 @@ def test_value_objects_survive_pickle_and_deepcopy():
             assert type(twin) is type(obj), name
             assert twin == obj, name
             assert hash(twin) == hash(obj), name
+
+
+# the command line's output and timing path: stdout, its two writers,
+# the clock and the flags that pick among them
+CLI_OUTPUT = {"stdout", "dump_json", "write_csv", "perf_counter", "timings", "format"}
+
+
+def _cli_output_uses(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id in CLI_OUTPUT:
+            yield node, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in CLI_OUTPUT:
+            yield node, node.attr
+
+
+def test_only_cli_main_writes_stdout_and_times():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert {name for _, name in _cli_output_uses(ast.walk(main))} == CLI_OUTPUT
+    inside = {id(node) for node in ast.walk(main)}
+    outside = [f"cli.py:{node.lineno} {name}"
+               for node, name in _cli_output_uses(ast.walk(tree))
+               if id(node) not in inside]
+    assert outside == []
