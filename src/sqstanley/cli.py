@@ -60,7 +60,7 @@ from .linquot import _order_decomposition, linear_quotients_order
 from .partition import face_ring, partition_duality_check
 from .setcalc import IndexSet, SimplicialComplex, alexander_dual
 from .sqmod import SqQuotient, build_quotient, dualize_quotient, hreg_min, sdepth
-from .survey import EXHAUSTIVE_CAP, counterexamples, survey_exhaustive, survey_random
+from .survey import COLUMNS, EXHAUSTIVE_CAP, counterexamples, survey_exhaustive, survey_random
 
 DEFAULT_CAP_N = 12
 # the commands whose output has no table form, refused with --format csv
@@ -165,8 +165,10 @@ def _parse_filtration_document(obj):
     block = obj["filtration"]
     if not isinstance(block, dict) or "base" not in block or "steps" not in block:
         raise FormatError("'filtration' needs 'base' and 'steps'")
-    base = SqIdeal.of(n, [g.support_mask
-                          for g in parse_gens(n, block["base"], "base")])
+    if "n" in block and (type(block["n"]) is not int or block["n"] != n):
+        raise FormatError(f"filtration 'n' must be the document's n={n}, got {block['n']!r}")
+    base = SqIdeal.from_monomial_ideal(
+        MonomialIdeal.of(n, parse_gens(n, block["base"], "base")))
     if not isinstance(block["steps"], list):
         raise FormatError(f"'steps' must be a list, got {block['steps']!r}")
     steps = []
@@ -318,6 +320,7 @@ def _build_parser():
                         "exhaustive survey)")
     p.add_argument("--timings", action="store_true",
                    help="print the command's run time to stderr")
+    p.set_defaults(columns=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def instance_cmd(name, fn, help_text):
@@ -367,7 +370,7 @@ def _build_parser():
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, at most the CPU count "
                          "(default sequential)")
-    sp.set_defaults(fn=cmd_survey)
+    sp.set_defaults(fn=cmd_survey, columns=COLUMNS)
     return p
 
 
@@ -389,7 +392,7 @@ def main(argv=None) -> int:
             print(f"[time] {args.command}: {time.perf_counter() - start:.3f}s",
                   file=sys.stderr)
         if args.format == "csv":
-            write_csv(rows, sys.stdout)
+            write_csv(rows, sys.stdout, args.columns)
         else:
             sys.stdout.write(dump_json(payload))
         return 0

@@ -39,13 +39,17 @@ class ExtElement:
     items: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        masks = [m for m, _ in self.items]
-        if masks != sorted(set(masks)):
-            raise ValueError("items not mask sorted and unique; use ExtElement.of")
-        if any(c == 0 for _, c in self.items):
-            raise ValueError("zero coefficient present; use ExtElement.of")
-        if any(not 0 <= m < (1 << self.n) for m in masks):
-            raise ValueError(f"mask out of range for n={self.n}")
+        last = -1
+        for m, c in self.items:
+            if type(m) is not int or type(c) is not int:
+                raise ValueError(f"item {(m, c)!r} is not a pair of ints")
+            if not 0 <= m < (1 << self.n):
+                raise ValueError(f"mask out of range for n={self.n}")
+            if m <= last:
+                raise ValueError("items not mask sorted and unique; use ExtElement.of")
+            if c == 0:
+                raise ValueError("zero coefficient present; use ExtElement.of")
+            last = m
 
     @classmethod
     def of(cls, n: int, coeffs) -> "ExtElement":
@@ -57,8 +61,7 @@ class ExtElement:
 
     @classmethod
     def basis(cls, n: int, f) -> "ExtElement":
-        mask = f.mask if isinstance(f, IndexSet) else f
-        return cls.of(n, [(mask, 1)])
+        return cls(n, ((f.mask if isinstance(f, IndexSet) else f, 1),))
 
     @classmethod
     def zero(cls, n: int) -> "ExtElement":
@@ -153,9 +156,9 @@ class ExtQuotientModule:
             if not self.base.outer.contains_mask(m):
                 raise ValueError(
                     f"component {IndexSet(self.n, m)} lies outside the outer ideal")
-        return ExtElement.of(
-            self.n, [(m, c) for m, c in x.items
-                     if not self.base.inner.contains_mask(m)])
+        # x's items minus those in the inner ideal are still canonical
+        return ExtElement(self.n, tuple(
+            item for item in x.items if not self.base.inner.contains_mask(item[0])))
 
     def basis_class(self, f) -> ExtElement:
         return self.reduce(ExtElement.basis(self.n, f))

@@ -221,12 +221,13 @@ def dump_json(x) -> str:
     return json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\n"
 
 
-def write_csv(rows, stream):
-    """Flat record dicts as CSV; columns follow the first row's keys."""
+def write_csv(rows, stream, columns=None):
+    """Flat record dicts as CSV; the columns, when given, head even an
+    empty table, and otherwise follow the first row's keys."""
     rows = list(rows)
-    if not rows:
+    if columns is None and not rows:
         return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
+    writer = csv.DictWriter(stream, fieldnames=columns or list(rows[0]))
     writer.writeheader()
     for r in rows:
         writer.writerow(r)

@@ -39,9 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, ZeroModuleError
-from .ideals import SqIdeal, sr_ideal, tilde
 from .setcalc import IndexSet, SimplicialComplex, cone_word, up_closure, word_masks
-from .sqmod import SqQuotient, _sdepth_walk, dualize_quotient
+from .sqmod import SqQuotient, _sdepth_walk, dualize_quotient, face_ring
 
 DEFAULT_CHAR = 32003
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -288,7 +287,9 @@ class EagonReinerRecord:
 
 
 def eagon_reiner_check(cx: SimplicialComplex, char: int = DEFAULT_CHAR) -> EagonReinerRecord:
-    """Check the complex side of Alexander duality on one complex.
+    """Check Eagon-Reiner on one complex: its face ring is Cohen-Macaulay
+    exactly when the ring's Alexander dual module (dualize_quotient, the
+    dual ideal, support checked) has a linear resolution.
 
     The face ring of the full simplex is free and counts as
     Cohen-Macaulay; its dual ideal is the whole ring, whose resolution
@@ -296,14 +297,11 @@ def eagon_reiner_check(cx: SimplicialComplex, char: int = DEFAULT_CHAR) -> Eagon
     """
     if cx.is_void:
         raise ValueError("the void complex has no face ring")
-    n = cx.n
-    ideal = sr_ideal(cx)
-    face_ring = SqQuotient(n, ideal, SqIdeal.of(n, [0]))
-    dual_ideal_module = SqQuotient(n, SqIdeal.of(n, []), tilde(ideal))
+    module = face_ring(cx)
     return EagonReinerRecord(
-        n=n,
-        cohen_macaulay=invariants(face_ring, char).cohen_macaulay,
-        dual_linear=invariants(dual_ideal_module, char).linear_resolution,
+        n=cx.n,
+        cohen_macaulay=invariants(module, char).cohen_macaulay,
+        dual_linear=invariants(dualize_quotient(module), char).linear_resolution,
     )
 
 

@@ -4,14 +4,15 @@ A complex is partitionable when its face poset splits into boolean
 intervals whose tops are facets.  Such a partition is the same thing
 as a Stanley decomposition of the face ring in which every interval
 reaches a support facet, so the search runs on the shared exact cover
-engine, and the result comes back as a decomposition of S/I.
+engine, and the result comes back as a decomposition of S/I, the face
+ring that sqmod builds from the Stanley-Reisner ideal.
 
 Dualizing trades facet tops for generator bottoms: the complex is
 partitionable exactly when the Alexander dual module admits a
 decomposition whose bottoms are minimal support members.  The check at
-the bottom computes both sides independently, the dual side by a
-direct search that gates the cover on generator bottoms rather than by
-transforming the primal answer.
+the bottom builds the face ring once and computes both sides
+independently, the dual side by a direct search that gates the cover
+on generator bottoms rather than by transforming the primal answer.
 """
 
 from dataclasses import dataclass
@@ -25,18 +26,15 @@ from .sqmod import (
     _cover,
     dualize_decomposition,
     dualize_quotient,
+    face_ring,
     validate_decomposition,
 )
 
 
-def face_ring(cx: SimplicialComplex) -> SqQuotient:
-    """S/I of the complex; the void complex gives the zero module."""
-    return SqQuotient.from_support(cx.n, cx.face_masks())
-
-
-def _checked(module, pairs, what):
-    """The cover's pairs as a decomposition of the module, checked to
-    partition its support; None stays None."""
+def _checked(module, what, tops, bottoms=None):
+    """The cover of the module's support with these tops, and bottoms if
+    given, as a decomposition checked to partition the support, or None."""
+    pairs = _cover(module.support_word, tops, bottoms)
     if pairs is None:
         return None
     dec = StanleyDecomposition.from_masks(module.n, pairs)
@@ -49,7 +47,7 @@ def find_partition(cx: SimplicialComplex):
     """A partition of the complex with facet tops, as a Stanley
     decomposition of its face ring, or None."""
     module = face_ring(cx)
-    return _checked(module, _cover(module.support_word, cx.facet_masks()), "facet-top")
+    return _checked(module, "facet-top", module.facet_masks())
 
 
 def is_partitionable(cx: SimplicialComplex) -> bool:
@@ -58,10 +56,8 @@ def is_partitionable(cx: SimplicialComplex) -> bool:
 
 def generator_bottom_decomposition(module: SqQuotient):
     """A decomposition whose bottoms are minimal support members, or None."""
-    gens = set(module.minimal_masks())
-    return _checked(module,
-                    _cover(module.support_word, module.support_masks(), gens),
-                    "generator-bottom")
+    return _checked(module, "generator-bottom",
+                    module.support_masks(), set(module.minimal_masks()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +91,7 @@ def partition_duality_check(cx: SimplicialComplex,
         raise ValueError("the void complex has no face ring")
     module = face_ring(cx)
     dual = dualize_quotient(module)
-    partition = find_partition(cx)
+    partition = _checked(module, "facet-top", module.facet_masks())
     if partition is not None:
         transformed = dualize_decomposition(partition)
         if not validate_decomposition(dual, transformed):

@@ -52,11 +52,12 @@ from .errors import (
     NonSquarefreeError,
     ZeroModuleError,
 )
-from .ideals import Monomial, MonomialIdeal, SqIdeal, tilde
+from .ideals import Monomial, MonomialIdeal, SqIdeal, sr_ideal, tilde
 from .setcalc import (
     MATERIALIZE_BITS,
     IndexSet,
     Interval,
+    SimplicialComplex,
     colon_prime,
     complement_family,
     family_word,
@@ -238,6 +239,14 @@ def build_quotient(inner: MonomialIdeal, outer: MonomialIdeal) -> SqQuotient:
             detail = f"divisibility-minimal member {cert.witness_nonsquarefree} is not squarefree"
         raise NonSquarefreeError(f"{outer}/{inner} is not a squarefree module: {detail}")
     return SqQuotient.from_support(inner.n, cert.support_masks)
+
+
+def face_ring(cx: SimplicialComplex) -> SqQuotient:
+    """S/I of the complex: its Stanley-Reisner ideal over the unit ideal.
+    The void complex gives the zero module, presented as 0/0."""
+    if cx.is_void:
+        return SqQuotient.from_support(cx.n, ())
+    return SqQuotient(cx.n, sr_ideal(cx), SqIdeal(cx.n, (0,)))
 
 
 def tilde_ext(ideal: SqIdeal) -> SqIdeal:

@@ -10,23 +10,26 @@ it.
 
 Sweeps are deterministic: exhaustive enumeration follows the fixed
 antichain order, random sampling follows the caller's seed, and worker
-processes only parallelize instances whose results are reassembled in
-input order, so the emitted records are identical however many jobs
-run.
+processes only measure the modules, passed as they are enumerated,
+whose results are reassembled in input order, so the emitted records
+are identical however many jobs run.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 from random import Random
 
 from .errors import CapExceededError, TheoremViolationError
 from .homology import DEFAULT_CHAR, betti, invariants
-from .ideals import SqIdeal
 from .instances import all_quotients, random_quotient
 from .setcalc import IndexSet
 from .sqmod import SqQuotient, _hreg_walk, _is_partition, _sdepth_walk, dualize_quotient
 
 EXHAUSTIVE_CAP = 4
+# the keys of SurveyRecord.row, in order: the CSV header of every survey
+COLUMNS = ("n", "inner", "outer", "sdepth", "depth", "sdepth_ge_depth", "hreg_min",
+           "hreg_dual", "reg", "hreg_le_reg", "projdim", "dim", "cohen_macaulay")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,23 +55,11 @@ class SurveyRecord:
         return self.hreg_min <= self.reg
 
     def row(self) -> dict:
-        def gens(masks):
-            return " ".join(str(IndexSet(self.n, m)) for m in masks) or "-"
-        return {
-            "n": self.n,
-            "inner": gens(self.inner),
-            "outer": gens(self.outer),
-            "sdepth": self.sdepth,
-            "depth": self.depth,
-            "sdepth_ge_depth": self.sdepth_ge_depth,
-            "hreg_min": self.hreg_min,
-            "hreg_dual": self.hreg_dual,
-            "reg": self.reg,
-            "hreg_le_reg": self.hreg_le_reg,
-            "projdim": self.projdim,
-            "dim": self.dim,
-            "cohen_macaulay": self.cohen_macaulay,
-        }
+        """The record under COLUMNS, generator masks written as sets."""
+        row = {c: getattr(self, c) for c in COLUMNS}
+        for c in ("inner", "outer"):
+            row[c] = " ".join(str(IndexSet(self.n, m)) for m in row[c]) or "-"
+        return row
 
 
 def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
@@ -118,17 +109,12 @@ def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
     return rec
 
 
-def _survey_presentation(args) -> SurveyRecord:
-    n, inner, outer, char = args
-    module = SqQuotient(n, SqIdeal(n, inner), SqIdeal(n, outer))
-    return survey_module(module, char)
-
-
-def _run(tasks, jobs):
+def _run(modules, char, jobs):
+    measure = partial(survey_module, char=char)
     if jobs > 1:
         with Pool(jobs) as pool:
-            return pool.map(_survey_presentation, tasks, chunksize=16)
-    return [_survey_presentation(t) for t in tasks]
+            return pool.map(measure, modules, chunksize=16)
+    return list(map(measure, modules))
 
 
 def survey_exhaustive(n: int, char: int = DEFAULT_CHAR, cap: int = EXHAUSTIVE_CAP,
@@ -137,20 +123,14 @@ def survey_exhaustive(n: int, char: int = DEFAULT_CHAR, cap: int = EXHAUSTIVE_CA
     if n > cap:
         raise CapExceededError(
             f"exhaustive survey capped at n <= {cap}; raise the cap knowingly")
-    tasks = [(n, m.inner.gen_masks, m.outer.gen_masks, char)
-             for m in all_quotients(n)]
-    return _run(tasks, jobs)
+    return _run(all_quotients(n), char, jobs)
 
 
 def survey_random(n: int, count: int, seed: int, char: int = DEFAULT_CHAR,
                   jobs: int = 1) -> list[SurveyRecord]:
     """count seeded random modules; the same seed gives the same records."""
     rng = Random(seed)
-    tasks = []
-    for _ in range(count):
-        m = random_quotient(rng, n)
-        tasks.append((n, m.inner.gen_masks, m.outer.gen_masks, char))
-    return _run(tasks, jobs)
+    return _run([random_quotient(rng, n) for _ in range(count)], char, jobs)
 
 
 def counterexamples(records) -> list[SurveyRecord]:

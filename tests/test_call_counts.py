@@ -1,7 +1,7 @@
-"""Each duality check computes each dual, Betti table and cover walk
-once, and searches each duality pair once: no caller runs a walk and
-its mirror on a module and its dual.  The counts are pinned, so a
-change that repeats one of them shows here."""
+"""Each duality check builds its face ring and computes each dual,
+Betti table and cover walk once, and searches each duality pair once:
+no caller runs a walk and its mirror on a module and its dual.  The
+counts are pinned, so a change that repeats one of them shows here."""
 
 import json
 import sys
@@ -9,17 +9,18 @@ from collections import Counter
 
 import pytest
 
-from sqstanley import homology, sqmod, survey
+from sqstanley import homology, partition, sqmod, survey
 from sqstanley.cli import main
 from sqstanley.exterior import edual_decomposition, s_to_e_decomposition
 from sqstanley.filtration import dualize_filtration, facet_peel_filtration
-from sqstanley.instances import all_quotients
+from sqstanley.instances import all_complexes, all_quotients
 
 COUNTED = {
     "betti": homology.betti,
     "dualize_quotient": sqmod.dualize_quotient,
     "_sdepth_walk": sqmod._sdepth_walk,
     "_hreg_walk": sqmod._hreg_walk,
+    "face_ring": sqmod.face_ring,
 }
 
 
@@ -40,21 +41,39 @@ def calls(monkeypatch):
 
 
 MODULES = [m for n in (2, 3) for m in list(all_quotients(n))[::7]]
+COMPLEXES = [cx for n in (2, 3, 4) for cx in list(all_complexes(n))[::3] if not cx.is_void]
 
 
 @pytest.mark.parametrize("check, expected", [
     (survey.survey_module,
-     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 1}),
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 1, "face_ring": 0}),
     (homology.terai_check,
-     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0}),
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0, "face_ring": 0}),
     (homology.depth_duality_check,
-     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 0}),
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 1, "_hreg_walk": 0, "face_ring": 0}),
 ], ids=["survey_module", "terai_check", "depth_duality_check"])
 def test_each_piece_computed_once(calls, check, expected):
     for module in MODULES:
         calls.update(dict.fromkeys(calls, 0))
         check(module)
         assert calls == expected, module
+
+
+@pytest.mark.parametrize("check, expected", [
+    # the dual ideal is the face ring's Alexander dual module, built and
+    # checked by dualize_quotient
+    (homology.eagon_reiner_check,
+     {"betti": 2, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0, "face_ring": 1}),
+    # one face ring serves the facet-top search, the dual and the CM test
+    (partition.partition_duality_check,
+     {"betti": 1, "dualize_quotient": 1, "_sdepth_walk": 0, "_hreg_walk": 0, "face_ring": 1}),
+], ids=["eagon_reiner_check", "partition_duality_check"])
+def test_each_complex_check_builds_one_face_ring(calls, check, expected):
+    assert len(COMPLEXES) > 30
+    for cx in COMPLEXES:
+        calls.update(dict.fromkeys(calls, 0))
+        check(cx)
+        assert calls == expected, cx
 
 
 def test_hreg_command_searches_once(calls, tmp_path, capsys):
@@ -66,7 +85,8 @@ def test_hreg_command_searches_once(calls, tmp_path, capsys):
     assert main(["hreg", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["hreg_min"] == doc["hreg_dual"]
-    assert calls == {"betti": 0, "dualize_quotient": 0, "_sdepth_walk": 0, "_hreg_walk": 1}
+    assert calls == {"betti": 0, "dualize_quotient": 0, "_sdepth_walk": 0, "_hreg_walk": 1,
+                     "face_ring": 0}
 
 
 def test_n4_sweep_shares_one_atom_per_value():

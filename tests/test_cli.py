@@ -283,6 +283,26 @@ class TestFiltration:
         assert err.startswith("error: ")
         assert run(capsys, "sdepth", str(instance)) == (code, out, err)
 
+    @pytest.mark.parametrize("change, message", [
+        # x1^2 has support {1}, which the base used to be read as
+        ({"base": {"gens": [[2, 0]], "encoding": "exponents"}}, "x1^2 is not squarefree"),
+        ({"n": 7}, "filtration 'n' must be the document's n=2, got 7"),
+        ({"n": True}, "got True"),
+        ({"n": 2.0}, "got 2.0"),
+    ], ids=["nonsquarefree-base", "n-7", "n-true", "n-float"])
+    @pytest.mark.parametrize("action", ["validate", "dualize"])
+    def test_filtration_block_read_as_strictly_as_an_instance(
+            self, capsys, tmp_path, change, message, action):
+        instance = write(tmp_path, "x1.json",
+                         {"n": 2, "ideal": {"gens": [[1]], "encoding": "support"}})
+        _, out, _ = run(capsys, "filtration", "build", instance)
+        doc = json.loads(out)
+        assert doc["filtration"]["n"] == 2
+        doc["filtration"].update(change)
+        code, out, err = run(capsys, "filtration", action, write(tmp_path, "f.json", doc))
+        assert (code, out) == (2, "")
+        assert message in err
+
     @pytest.mark.parametrize("action", ["validate", "dualize"])
     def test_documents_above_the_cap_are_refused(self, capsys, tmp_path, action):
         # x1...x12 at n = 13, one above the default cap
@@ -535,6 +555,13 @@ class TestSurvey:
         assert code == 0
         assert lines[0].startswith("n,inner,outer,sdepth,depth")
         assert len(lines) == 15
+
+    def test_empty_csv_survey_keeps_its_header(self, capsys):
+        code, out, err = run(capsys, "--format", "csv", "survey", "--n", "2", "--count", "0")
+        assert (code, err) == (0, "")
+        _, one, _ = run(capsys, "--format", "csv", "survey", "--n", "2", "--count", "1")
+        assert out == one.splitlines(keepends=True)[0]
+        assert out == ",".join(survey.COLUMNS) + "\r\n"
 
 
 class TestPlumbing:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from sqstanley.exterior import (
     wedge,
 )
 from sqstanley.ideals import SqIdeal
+from sqstanley.instances import random_quotient
 from sqstanley.setcalc import IndexSet, sigma_masks, submasks
 from sqstanley.sqmod import (
     SqQuotient,
@@ -88,6 +90,28 @@ class TestExtElement:
         with pytest.raises(NMismatchError):
             wedge(e(2, 1), e(3, 1))
 
+    @pytest.mark.parametrize("items, message", [
+        (((1, 0.5),), "not a pair of ints"),
+        (((1.0, 1),), "not a pair of ints"),
+        (((True, 1),), "not a pair of ints"),
+        (((1, True),), "not a pair of ints"),
+        # every item is checked, not only the first
+        (((1, 1), (2, "3")), "not a pair of ints"),
+        (((-1, 1),), "mask out of range"),
+        (((1, 1), (4, 1)), "mask out of range"),
+        (((2, 1), (1, 1)), "not mask sorted and unique"),
+        (((1, 1), (1, 2)), "not mask sorted and unique"),
+        (((1, 1), (2, 0)), "zero coefficient present"),
+    ])
+    def test_refused_items(self, items, message):
+        with pytest.raises(ValueError, match=message):
+            ExtElement(2, items)
+
+    def test_of_refuses_a_float_mask(self):
+        # it used to build an element whose str then raised
+        with pytest.raises(ValueError, match="not a pair of ints"):
+            ExtElement.of(2, [(1.5, 1)])
+
 
 class TestModule:
     def test_reduce_kills_inner(self):
@@ -100,6 +124,35 @@ class TestModule:
                                             SqIdeal.of(2, [0b01])))
         with pytest.raises(ValueError):
             emod.reduce(e(2, 2))
+
+    def test_reduce_matches_the_of_based_reduce(self):
+        def reduce_by_of(emod, x):
+            # reduce as it was before it kept x's items as a filter
+            for m, _ in x.items:
+                if not emod.base.outer.contains_mask(m):
+                    raise ValueError(
+                        f"component {IndexSet(emod.n, m)} lies outside the outer ideal")
+            return ExtElement.of(
+                emod.n, [(m, c) for m, c in x.items if not emod.base.inner.contains_mask(m)])
+
+        rng = random.Random(20261020)
+        outcomes = Counter()
+        for _ in range(3000):
+            n = rng.randrange(1, 6)
+            emod = to_exterior(random_quotient(rng, n))
+            x = ExtElement.of(n, [(rng.randrange(1 << n), rng.randrange(-2, 3))
+                                  for _ in range(rng.randrange(6))])
+            try:
+                expected = reduce_by_of(emod, x)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    emod.reduce(x)
+                assert str(got.value) == str(err)
+                outcomes["refused"] += 1
+            else:
+                assert emod.reduce(x) == expected
+                outcomes["zero" if expected.is_zero else "kept"] += 1
+        assert min(outcomes.values()) > 300, outcomes
 
     def test_multiplication(self):
         emod = to_exterior(ring_mod([0b011], 2))

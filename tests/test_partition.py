@@ -2,6 +2,10 @@ import random
 
 import pytest
 
+import sqstanley
+from sqstanley import sqmod
+from sqstanley.errors import CapExceededError
+from sqstanley.instances import all_complexes, random_complex
 from sqstanley.partition import (
     face_ring,
     find_partition,
@@ -10,7 +14,7 @@ from sqstanley.partition import (
     partition_duality_check,
 )
 from sqstanley.setcalc import IndexSet, SimplicialComplex
-from sqstanley.sqmod import dualize_quotient, sdepth
+from sqstanley.sqmod import SqQuotient, dualize_quotient, sdepth
 
 
 def cx_of(n, facet_masks):
@@ -34,6 +38,26 @@ class TestFaceRing:
     def test_irrelevant_gives_residue_field(self):
         mod = face_ring(cx_of(2, [0]))
         assert mod.support_masks() == (0,)
+
+    def test_one_face_ring(self):
+        assert sqstanley.face_ring is face_ring is sqmod.face_ring
+
+    def test_equals_the_presentation_of_its_faces(self):
+        # the oracle: every face enumerated, then the minimal presentation
+        # of that family
+        rng = random.Random(20261020)
+        complexes = [cx for n in range(6) for cx in all_complexes(n)]
+        complexes += [SimplicialComplex(n, ()) for n in range(8)]
+        complexes += [random_complex(rng, n, rng.randrange(1, 9))
+                      for n in range(6, 13) for _ in range(150)]
+        assert len(complexes) > 8_800
+        for cx in complexes:
+            assert face_ring(cx) == SqQuotient.from_support(cx.n, cx.face_masks()), cx
+
+    @pytest.mark.parametrize("facets", [(), (0,)], ids=["void", "irrelevant"])
+    def test_capped_above_materialization(self, facets):
+        with pytest.raises(CapExceededError):
+            face_ring(SimplicialComplex(21, tuple(IndexSet(21, m) for m in facets)))
 
 
 class TestFindPartition:

@@ -78,6 +78,10 @@ class TestSweeps:
     def test_jobs_match_sequential(self):
         assert survey_random(3, 12, seed=5, jobs=2) == survey_random(3, 12, seed=5)
 
+    def test_exhaustive_jobs_match_sequential(self):
+        # the pool pickles the enumerated modules themselves
+        assert survey_exhaustive(3, jobs=2) == survey_exhaustive(3)
+
     def test_counterexample_filter(self):
         rec = survey_module(ring_mod([0b11], 2))
         fake = dataclasses.replace(rec, sdepth=rec.depth - 1)
