@@ -18,7 +18,7 @@ decompositions and modules dualize with explicit signs.
 from dataclasses import dataclass
 
 from .errors import NMismatchError
-from .setcalc import Atom, IndexSet, Interval, sigma_masks
+from .setcalc import Atom, IndexSet, sigma_masks
 from .sqmod import SqQuotient, StanleyDecomposition, dualize_quotient
 
 
@@ -305,13 +305,14 @@ class EDecomposition:
 def s_to_e_decomposition(dec: StanleyDecomposition) -> EDecomposition:
     """Interval [F, G] corresponds to the piece starting at F with free
     variables G minus F; both span the same degrees."""
-    return EDecomposition.of(
-        dec.n, (EPiece(iv.bottom, iv.top - iv.bottom) for iv in dec.intervals))
+    n = dec.n
+    pairs = sorted((iv.bottom.mask, iv.top.mask & ~iv.bottom.mask) for iv in dec.intervals)
+    return EDecomposition(n, tuple(EPiece.from_masks(n, s, f) for s, f in pairs))
 
 
 def e_to_s_decomposition(dec: EDecomposition) -> StanleyDecomposition:
-    return StanleyDecomposition.of(
-        dec.n, (Interval(p.start, p.start | p.free) for p in dec.pieces))
+    return StanleyDecomposition.from_masks(
+        dec.n, ((p.start.mask, p.start.mask | p.free.mask) for p in dec.pieces))
 
 
 def edual_decomposition(dec: EDecomposition):
@@ -325,12 +326,8 @@ def edual_decomposition(dec: EDecomposition):
     of those signs, aligned with the canonical piece order of the
     result.
     """
-    full = (1 << dec.n) - 1
-    tagged = []
-    for p in dec.pieces:
-        top = p.start.mask | p.free.mask
-        dual_piece = EPiece(IndexSet(dec.n, full ^ top), p.free)
-        tagged.append((dual_piece, _sign(sigma_masks(p.start.mask, p.free.mask))))
-    tagged.sort(key=lambda t: (t[0].start.mask, t[0].free.mask))
-    return (EDecomposition(dec.n, tuple(t[0] for t in tagged)),
-            tuple(t[1] for t in tagged))
+    n, full = dec.n, (1 << dec.n) - 1
+    tagged = sorted((full ^ (p.start.mask | p.free.mask), p.free.mask,
+                     _sign(sigma_masks(p.start.mask, p.free.mask))) for p in dec.pieces)
+    return (EDecomposition(n, tuple(EPiece.from_masks(n, s, f) for s, f, _ in tagged)),
+            tuple(sign for _, _, sign in tagged))

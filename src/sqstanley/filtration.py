@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, NMismatchError
 from .ideals import SqIdeal
-from .setcalc import Atom, IndexSet, Interval, colon_prime, one_smaller
+from .setcalc import Atom, IndexSet, colon_prime, one_smaller
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -117,7 +117,7 @@ def facet_peel_filtration(module: SqQuotient) -> PrimeFiltration:
     while remaining:
         maximal = remaining & ~one_smaller(remaining, n)
         peel = (maximal & -maximal).bit_length() - 1
-        steps.append(FiltrationStep(IndexSet(n, peel), IndexSet(n, full ^ peel)))
+        steps.append(FiltrationStep.from_masks(n, peel, full ^ peel))
         remaining ^= 1 << peel
     return PrimeFiltration(n, module.inner, tuple(steps))
 
@@ -146,5 +146,6 @@ def filtration_to_decomposition(filt: PrimeFiltration) -> StanleyDecomposition:
     intervals partition the support.  Peel filtrations give singleton
     intervals only.
     """
-    return StanleyDecomposition.of(
-        filt.n, (Interval(s.degree, s.prime.complement()) for s in filt.steps))
+    full = (1 << filt.n) - 1
+    return StanleyDecomposition.from_masks(
+        filt.n, ((s.degree.mask, full ^ s.prime.mask) for s in filt.steps))

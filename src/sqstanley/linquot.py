@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .ideals import Monomial, SqIdeal
-from .setcalc import Interval, IndexSet, colon_prime
+from .setcalc import colon_prime
 from .sqmod import SqQuotient, StanleyDecomposition, validate_decomposition
 
 
@@ -134,9 +134,8 @@ def _order_decomposition(ideal: SqIdeal, order: LinearQuotientsOrder) -> Stanley
     """
     n = ideal.n
     full = (1 << n) - 1
-    intervals = [Interval(IndexSet(n, g.support_mask), IndexSet(n, full ^ v))
-                 for g, v in zip(order.gens, order.colon_vars)]
-    dec = StanleyDecomposition.of(n, intervals)
+    dec = StanleyDecomposition.from_masks(
+        n, ((g.support_mask, full ^ v) for g, v in zip(order.gens, order.colon_vars)))
     module = SqQuotient(n, SqIdeal.of(n, []), ideal)
     if not validate_decomposition(module, dec):
         raise InternalCheckError("linear quotients intervals do not partition the ideal")

@@ -185,18 +185,23 @@ def cone_word(word: int, n: int) -> int:
 
 class Interned(type):
     """Metaclass of the set atoms: IndexSet, and classes whose value is
-    a pair of IndexSets.  Each class keeps its own table of shared
-    instances.
+    a pair of IndexSets.  Each class keeps one table of shared
+    instances, and there are two ways in.
 
     An IndexSet is looked up by its two ints, taken only when both are
-    of exact type int, so True or 5.0 never meet a kept 1 or 5.  A pair
-    is looked up by the identities of its parts; a kept pair holds its
-    parts, so no other object can carry those identities while it is in
-    the table.  A miss builds the value the ordinary way, every check
-    included.  It is kept when n <= INTERN_MAX_N and, for a pair, both
-    parts are kept IndexSets, which bounds the tables at 2^n sets and
-    3^n pairs per n.  setdefault keeps one instance if two threads miss
-    on the same value at once.
+    of exact type int and n <= INTERN_MAX_N, so True or 5.0 never meet a
+    kept 1 or 5.  A pair is kept under (n, first mask, second mask)
+    together with its two parts.  Called on two IndexSets, it is found
+    by their masks and returned only when the parts it holds are those
+    very objects; a kept pair holds kept parts, so a loose IndexSet that
+    merely equals one never meets it.  Called through `from_masks` on
+    three ints, it is found by the same key, taken only when all three
+    are of exact type int and n <= INTERN_MAX_N; otherwise the table is
+    skipped.  A miss on either way builds the value the ordinary way,
+    every check included.  It is kept when n <= INTERN_MAX_N and, for a
+    pair, both parts are kept IndexSets, which bounds the tables at 2^n
+    sets and 3^n pairs per n.  setdefault keeps one instance if two
+    threads miss on the same value at once.
     """
 
     def __new__(mcls, name, bases, namespace):
@@ -209,17 +214,36 @@ class Interned(type):
             return super().__call__(*args, **kwargs)
         a, b = args
         if cls is IndexSet:
-            if type(a) is not int or type(b) is not int:
+            if type(a) is not int or type(b) is not int or a > INTERN_MAX_N:
                 return super().__call__(a, b)
-            key = args
-        else:
-            key = (id(a), id(b))
-        atom = cls._kept.get(key)
-        if atom is None:
-            atom = super().__call__(a, b)
-            if (a <= INTERN_MAX_N) if cls is IndexSet else (_is_kept(a) and _is_kept(b)):
-                atom = cls._kept.setdefault(key, atom)
+            atom = cls._kept.get(args)
+            if atom is None:
+                atom = cls._kept.setdefault(args, super().__call__(a, b))
+            return atom
+        key = (a.n, a.mask, b.mask)
+        got = cls._kept.get(key)
+        if got is not None and got[1] is a and got[2] is b:
+            return got[0]
+        atom = super().__call__(a, b)
+        if _is_kept(a) and _is_kept(b):
+            atom = cls._kept.setdefault(key, (atom, a, b))[0]
         return atom
+
+    def from_masks(cls, n, a, b):
+        """The pair of IndexSet(n, a) and IndexSet(n, b), the same object
+        as the call on those two IndexSets returns: one lookup when it
+        is kept, else built by that call, every check included.  Over
+        more than INTERN_MAX_N elements nothing is kept, so the tables
+        are skipped and the three atoms built and checked directly."""
+        if type(n) is int and type(a) is int and type(b) is int:
+            if n <= INTERN_MAX_N:
+                got = cls._kept.get((n, a, b))
+                if got is not None:
+                    return got[0]
+            else:
+                build = type.__call__
+                return build(cls, build(IndexSet, n, a), build(IndexSet, n, b))
+        return cls(IndexSet(n, a), IndexSet(n, b))
 
 
 def _is_kept(part) -> bool:

@@ -312,7 +312,12 @@ class StanleyDecomposition:
 
     @classmethod
     def from_masks(cls, n: int, pairs) -> "StanleyDecomposition":
-        return cls.of(n, (Interval(IndexSet(n, b), IndexSet(n, t)) for b, t in pairs))
+        """The decomposition into the intervals [b, t] of the (bottom,
+        top) mask pairs.  The int pairs sort as `of` sorts intervals,
+        and each interval is one lookup in the Interval table when it
+        is kept (`Interned.from_masks`), built and checked otherwise."""
+        interval = Interval.from_masks
+        return cls(n, tuple(interval(n, b, t) for b, t in sorted(pairs)))
 
     @property
     def sdepth(self) -> int:
@@ -355,9 +360,9 @@ def dualize_decomposition(dec: StanleyDecomposition) -> StanleyDecomposition:
     Takes partitions of a support to partitions of the complementary
     support; an involution on decompositions.
     """
-    return StanleyDecomposition.of(
-        dec.n, (Interval(iv.top.complement(), iv.bottom.complement())
-                for iv in dec.intervals))
+    full = (1 << dec.n) - 1
+    return StanleyDecomposition.from_masks(
+        dec.n, ((full ^ iv.top.mask, full ^ iv.bottom.mask) for iv in dec.intervals))
 
 
 def _cover(support, tops, bottoms=None):

@@ -17,7 +17,6 @@ are identical however many jobs run.
 
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 from random import Random
 
 from .errors import CapExceededError, TheoremViolationError
@@ -112,6 +111,9 @@ def survey_module(module: SqQuotient, char: int = DEFAULT_CHAR) -> SurveyRecord:
 def _run(modules, char, jobs):
     measure = partial(survey_module, char=char)
     if jobs > 1:
+        # imported here: a sweep in one process, and every other caller
+        # of the package, never loads multiprocessing
+        from multiprocessing import Pool
         with Pool(jobs) as pool:
             return pool.map(measure, modules, chunksize=16)
     return list(map(measure, modules))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import time
 
@@ -40,7 +41,7 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("the command started work")
     monkeypatch.setattr(cli, "parse_instance", refuse)
-    monkeypatch.setattr(survey, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(cli, "survey_exhaustive", refuse)
     monkeypatch.setattr(cli, "survey_random", refuse)
 
@@ -543,7 +544,7 @@ class TestSurvey:
             def map(self, fn, tasks, chunksize):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr(survey, "Pool", InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         jobs = str(os.cpu_count() or 1)
         code, out, _ = run(capsys, "survey", "--n", "2", "--jobs", jobs)
         assert code == 0

@@ -214,18 +214,32 @@ def test_random_complexes(same):
 
 @pytest.fixture
 def intervals_built(monkeypatch):
-    # counts constructor calls, not checks: an interned interval is
-    # checked once, on its first build
-    built = []
-    construct = type(Interval).__call__
+    # counts the intervals asked for through either way in, on two
+    # IndexSets or on masks, not checks: an interned interval is checked
+    # once, on its first build; a mask-path miss that goes on to the
+    # call on two IndexSets counts once
+    built, inside = [], []
+    meta = type(Interval)
+    construct, from_masks = meta.__call__, meta.from_masks
 
     def counted(cls, *args, **kwargs):
         atom = construct(cls, *args, **kwargs)
+        if cls is Interval and not inside:
+            built.append(atom)
+        return atom
+
+    def counted_masks(cls, *args):
+        inside.append(cls)
+        try:
+            atom = from_masks(cls, *args)
+        finally:
+            inside.pop()
         if cls is Interval:
             built.append(atom)
         return atom
 
-    monkeypatch.setattr(type(Interval), "__call__", counted)
+    monkeypatch.setattr(meta, "__call__", counted)
+    monkeypatch.setattr(meta, "from_masks", counted_masks)
     return built
 
 

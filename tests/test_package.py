@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import importlib
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,6 +61,15 @@ def test_only_standard_library_imports():
                for line, level, name in _imports(path)
                if not level and name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_importing_the_package_and_cli_loads_no_multiprocessing():
+    # only a survey with jobs > 1 starts a pool, so only it imports one
+    probe = ("import sys, sqstanley, sqstanley.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent, timeout=60).stdout
+    assert out == "[]\n"
 
 
 # each module imports only from modules before it; the package root

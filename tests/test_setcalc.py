@@ -352,6 +352,50 @@ class TestInterning:
             assert cls(a, b) is cls(IndexSet(n, a.mask), IndexSet(n, b.mask))
         assert IndexSet.of(4, [1, 3]) is IndexSet(4, 0b101) is IndexSet(4, 0b100) | IndexSet(4, 0b1)
 
+    @pytest.mark.parametrize("cls", PAIR_CLASSES)
+    def test_masks_meet_the_object_path_on_every_kept_pair(self, cls):
+        class Fresh(cls):
+            # a subclass starts with its own empty table, so each way in
+            # is tried first on half of the pairs
+            __slots__ = ()
+
+        for n in range(INTERN_MAX_N + 1):
+            for t in range(1 << n):
+                for a in submasks(t):
+                    b = t if cls is Interval else t & ~a
+                    if (a ^ t) & 1:
+                        by_masks = Fresh.from_masks(n, a, b)
+                        assert Fresh(IndexSet(n, a), IndexSet(n, b)) is by_masks
+                    else:
+                        by_parts = Fresh(IndexSet(n, a), IndexSet(n, b))
+                        assert Fresh.from_masks(n, a, b) is by_parts
+                    assert cls.from_masks(n, a, b) is cls(IndexSet(n, a), IndexSet(n, b))
+                    assert type(Fresh.from_masks(n, a, b)) is Fresh
+        assert len(Fresh._kept) == sum(3 ** n for n in range(INTERN_MAX_N + 1))
+
+    @pytest.mark.parametrize("cls", PAIR_CLASSES)
+    def test_bad_masks_are_refused_and_never_kept(self, cls):
+        a, b = (p.mask for p in pair_args(cls, 4))
+        kept = cls.from_masks(4, a, b)
+        before = len(cls._kept)
+        crossing = (b, a) if cls is Interval else (a, a | b)
+        for _ in range(2):
+            for args, message in (((4, 5.0, b), r"mask 5\.0 out of range for n=4"),
+                                  ((4, a, 16), "mask 16 out of range for n=4"),
+                                  ((4, -1, b), "mask -1 out of range for n=4"),
+                                  ((4.0, a, b), "ground set size"),
+                                  ((-1, a, b), "ground set size"),
+                                  ((4, *crossing), "not contained in top|meets")):
+                with pytest.raises(ValueError, match=message):
+                    cls.from_masks(*args)
+            # a bool is an int to the checks: built as before, never kept
+            for args in ((4, True, b), (4, 0, True), (True, 0, 1)):
+                loose = cls.from_masks(*args)
+                assert loose == cls(*(IndexSet(args[0], m) for m in args[1:]))
+                assert loose is not kept and loose is not cls.from_masks(*args)
+        assert len(cls._kept) == before
+        assert cls.from_masks(4, a, b) is kept
+
     @pytest.mark.parametrize("n", [7, 64])
     def test_larger_n_is_not_kept_and_tables_stay_bounded(self, n):
         before = table_sizes()
@@ -360,6 +404,8 @@ class TestInterning:
             for cls in PAIR_CLASSES:
                 a, b = pair_args(cls, n)
                 assert cls(a, b) == cls(a, b) and cls(a, b) is not cls(a, b)
+                twin = cls.from_masks(n, a.mask, b.mask)
+                assert twin == cls(a, b) and twin is not cls.from_masks(n, a.mask, b.mask)
         assert IndexSet(n, 5) is not IndexSet(n, 5)
         assert table_sizes() == before
         limit = [sum(2 ** k for k in range(INTERN_MAX_N + 1))] + [
@@ -403,6 +449,7 @@ class TestInterning:
     @pytest.mark.parametrize("n", [4, 7])
     def test_keyword_replace_pickle_and_deepcopy_round_trip(self, n):
         atoms = [IndexSet(n, 5)] + [cls(*pair_args(cls, n)) for cls in PAIR_CLASSES]
+        atoms += [cls.from_masks(n, *(p.mask for p in pair_args(cls, n))) for cls in PAIR_CLASSES]
         for atom in atoms:
             fields = {f.name: getattr(atom, f.name) for f in dataclasses.fields(atom)}
             assert type(atom)(**fields) == atom

@@ -5,14 +5,16 @@ import pytest
 
 from sqstanley.cover import first_interval_partition
 from sqstanley.errors import NonSquarefreeError, ZeroModuleError
-from sqstanley.instances import all_quotients
+from sqstanley.instances import all_quotients, random_quotient
 from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
-from sqstanley.setcalc import IndexSet, Interval, family_word
+from sqstanley.setcalc import INTERN_MAX_N, IndexSet, Interval, family_word
 from sqstanley.sqmod import (
     SqQuotient,
     StanleyDecomposition,
+    _hreg_walk,
     _is_partition,
     _level_cover,
+    _sdepth_walk,
     associated_primes,
     build_quotient,
     dualize_decomposition,
@@ -332,6 +334,29 @@ class TestDecompositions:
             dd = dualize_decomposition(dec)
             assert dualize_decomposition(dd) == dec
             assert validate_decomposition(dualize_quotient(m), dd)
+
+    def test_from_masks_matches_the_of_based_build(self):
+        def of_based(n, pairs):
+            # from_masks as it was: each interval built on two IndexSets,
+            # then the objects sorted by `of`
+            return StanleyDecomposition.of(
+                n, (Interval(IndexSet(n, b), IndexSet(n, t)) for b, t in pairs))
+
+        modules = [m for n in range(1, 5) for m in all_quotients(n)]
+        modules += [SqQuotient.from_support(n, [m for m in range(1 << n) if d <= m.bit_count() <= e])
+                    for n in (5, 6) for d in range(n + 1) for e in range(d, n + 1)]
+        rng = random.Random(20)
+        modules += [random_quotient(rng, 7) for _ in range(150)]
+        assert len(modules) == 3 + 14 + 148 + 7413 + 49 + 150
+        for module in modules:
+            n = module.n
+            for _, pairs in (_sdepth_walk(module), _hreg_walk(module)):
+                # the witness, then reversed with its first pair repeated
+                for variant in (pairs, pairs[::-1] + pairs[:1]):
+                    got, want = StanleyDecomposition.from_masks(n, variant), of_based(n, variant)
+                    assert got == want
+                    assert all((x is y) == (n <= INTERN_MAX_N)
+                               for x, y in zip(got.intervals, want.intervals))
 
     def test_dual_swaps_sdepth_and_hreg(self):
         m = max_ideal_mod(3)
