@@ -18,7 +18,7 @@ decompositions and modules dualize with explicit signs.
 from dataclasses import dataclass
 
 from .errors import NMismatchError
-from .setcalc import Atom, IndexSet, sigma_masks
+from .setcalc import IndexSet, MaskPair, sigma_masks
 from .sqmod import SqQuotient, StanleyDecomposition, dualize_quotient
 
 
@@ -194,6 +194,8 @@ def theta(emod: ExtQuotientModule, f: IndexSet, presentation) -> ExtElement:
         raise NMismatchError(f"degree over n={f.n} in module over n={emod.n}")
     total = ExtElement.zero(emod.n)
     for a, g in presentation:
+        if g.n != emod.n:
+            raise NMismatchError(f"generator over n={g.n} in module over n={emod.n}")
         if g.mask not in emod.generator_masks():
             raise ValueError(f"{g} is not a generator of the outer ideal")
         if g.mask & ~f.mask:
@@ -246,6 +248,8 @@ def dual_functional_image(emod: ExtQuotientModule, phi: ExtElement) -> ExtElemen
     complement of D; this choice intertwines the right actions on both
     sides.
     """
+    if phi.n != emod.n:
+        raise NMismatchError(f"functional over n={phi.n} on module over n={emod.n}")
     full = (1 << emod.n) - 1
     supp = set(emod.support_masks())
     comps = []
@@ -257,7 +261,7 @@ def dual_functional_image(emod: ExtQuotientModule, phi: ExtElement) -> ExtElemen
 
 
 @dataclass(frozen=True, slots=True)
-class EPiece(Atom):
+class EPiece(MaskPair):
     """One summand of an exterior decomposition: the class of e_start
     times the subalgebra on the free variables."""
 

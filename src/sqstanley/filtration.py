@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, NMismatchError
 from .ideals import SqIdeal
-from .setcalc import Atom, IndexSet, colon_prime, one_smaller
+from .setcalc import IndexSet, MaskPair, colon_prime, one_smaller
 from .sqmod import (
     SqQuotient,
     StanleyDecomposition,
@@ -26,7 +26,7 @@ from .sqmod import (
 
 
 @dataclass(frozen=True, slots=True)
-class FiltrationStep(Atom):
+class FiltrationStep(MaskPair):
     """One step: adjoin x_degree, with step quotient S/P_prime(-degree)."""
 
     degree: IndexSet
@@ -131,7 +131,8 @@ def dualize_filtration(filt: PrimeFiltration) -> PrimeFiltration:
     reversed chain.  That is checked here on every call.
     """
     dual_module = dualize_quotient(filt.module())
-    dual_steps = tuple(FiltrationStep(s.prime, s.degree) for s in reversed(filt.steps))
+    dual_steps = tuple(FiltrationStep.from_masks(filt.n, s.prime.mask, s.degree.mask)
+                       for s in reversed(filt.steps))
     dual = PrimeFiltration(filt.n, dual_module.inner, dual_steps)
     if not validate_filtration(dual_module, dual):
         raise InternalCheckError("dualized filtration fails validation")

@@ -33,7 +33,6 @@ from .errors import CapExceededError, NMismatchError
 
 MAX_N = 64
 
-# Atoms over at most this many elements are interned; see Interned.
 INTERN_MAX_N = 6
 
 # Explicit materialization of 2^k objects (faces, interval members,
@@ -183,87 +182,9 @@ def cone_word(word: int, n: int) -> int:
     return cone
 
 
-class Interned(type):
-    """Metaclass of the set atoms: IndexSet, and classes whose value is
-    a pair of IndexSets.  Each class keeps one table of shared
-    instances, and there are two ways in.
-
-    An IndexSet is looked up by its two ints, taken only when both are
-    of exact type int and n <= INTERN_MAX_N, so True or 5.0 never meet a
-    kept 1 or 5.  A pair is kept under (n, first mask, second mask)
-    together with its two parts.  Called on two IndexSets, it is found
-    by their masks and returned only when the parts it holds are those
-    very objects; a kept pair holds kept parts, so a loose IndexSet that
-    merely equals one never meets it.  Called through `from_masks` on
-    three ints, it is found by the same key, taken only when all three
-    are of exact type int and n <= INTERN_MAX_N; otherwise the table is
-    skipped.  A miss on either way builds the value the ordinary way,
-    every check included.  It is kept when n <= INTERN_MAX_N and, for a
-    pair, both parts are kept IndexSets, which bounds the tables at 2^n
-    sets and 3^n pairs per n.  setdefault keeps one instance if two
-    threads miss on the same value at once.
-    """
-
-    def __new__(mcls, name, bases, namespace):
-        cls = super().__new__(mcls, name, bases, namespace)
-        cls._kept = {}
-        return cls
-
-    def __call__(cls, *args, **kwargs):
-        if kwargs or len(args) != 2:
-            return super().__call__(*args, **kwargs)
-        a, b = args
-        if cls is IndexSet:
-            if type(a) is not int or type(b) is not int or a > INTERN_MAX_N:
-                return super().__call__(a, b)
-            atom = cls._kept.get(args)
-            if atom is None:
-                atom = cls._kept.setdefault(args, super().__call__(a, b))
-            return atom
-        key = (a.n, a.mask, b.mask)
-        got = cls._kept.get(key)
-        if got is not None and got[1] is a and got[2] is b:
-            return got[0]
-        atom = super().__call__(a, b)
-        if _is_kept(a) and _is_kept(b):
-            atom = cls._kept.setdefault(key, (atom, a, b))[0]
-        return atom
-
-    def from_masks(cls, n, a, b):
-        """The pair of IndexSet(n, a) and IndexSet(n, b), the same object
-        as the call on those two IndexSets returns: one lookup when it
-        is kept, else built by that call, every check included.  Over
-        more than INTERN_MAX_N elements nothing is kept, so the tables
-        are skipped and the three atoms built and checked directly."""
-        if type(n) is int and type(a) is int and type(b) is int:
-            if n <= INTERN_MAX_N:
-                got = cls._kept.get((n, a, b))
-                if got is not None:
-                    return got[0]
-            else:
-                build = type.__call__
-                return build(cls, build(IndexSet, n, a), build(IndexSet, n, b))
-        return cls(IndexSet(n, a), IndexSet(n, b))
-
-
-def _is_kept(part) -> bool:
-    return type(part) is IndexSet and IndexSet._kept.get((part.n, part.mask)) is part
-
-
-class Atom(metaclass=Interned):
-    """Base of the interned set atoms.  Pickling and copying rebuild an
-    atom through its constructor, so a copy of a kept atom is the kept
-    atom itself."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-
 @total_ordering
 @dataclass(frozen=True, slots=True)
-class IndexSet(Atom):
+class IndexSet:
     """A subset of {1, ..., n}; ordering between IndexSets is colex."""
 
     n: int
@@ -359,8 +280,38 @@ def sigma(g: IndexSet, f: IndexSet) -> int:
     return sigma_masks(g.mask, f.mask)
 
 
+class MaskPair:
+    """Base of the pair atoms, whose value is two IndexSets over one n:
+    Interval, FiltrationStep and EPiece.  Each class keeps one table of
+    shared instances, entered only through `from_masks`; the checked
+    constructor never consults it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._kept = {}
+
+    @classmethod
+    def from_masks(cls, n, a, b):
+        """The pair of IndexSet(n, a) and IndexSet(n, b).  When all three
+        are of exact type int and n <= INTERN_MAX_N it is one lookup
+        under (n, a, b), so True or 5.0 never meet a kept 1 or 5; a miss
+        builds it through every check and keeps it, which bounds a table
+        at 3^n pairs per n.  setdefault keeps one instance if two threads
+        miss on the same value at once.  Anything else is built and
+        checked, and never kept."""
+        if type(n) is int and type(a) is int and type(b) is int and n <= INTERN_MAX_N:
+            key = (n, a, b)
+            atom = cls._kept.get(key)
+            if atom is None:
+                atom = cls._kept.setdefault(key, cls(IndexSet(n, a), IndexSet(n, b)))
+            return atom
+        return cls(IndexSet(n, a), IndexSet(n, b))
+
+
 @dataclass(frozen=True, slots=True)
-class Interval(Atom):
+class Interval(MaskPair):
     """The Boolean-lattice interval [bottom, top] = {H : bottom <= H <= top}."""
 
     bottom: IndexSet

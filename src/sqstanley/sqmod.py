@@ -313,9 +313,7 @@ class StanleyDecomposition:
     @classmethod
     def from_masks(cls, n: int, pairs) -> "StanleyDecomposition":
         """The decomposition into the intervals [b, t] of the (bottom,
-        top) mask pairs.  The int pairs sort as `of` sorts intervals,
-        and each interval is one lookup in the Interval table when it
-        is kept (`Interned.from_masks`), built and checked otherwise."""
+        top) mask pairs, which sort as `of` sorts intervals."""
         interval = Interval.from_masks
         return cls(n, tuple(interval(n, b, t) for b, t in sorted(pairs)))
 

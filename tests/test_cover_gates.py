@@ -214,19 +214,17 @@ def test_random_complexes(same):
 
 @pytest.fixture
 def intervals_built(monkeypatch):
-    # counts the intervals asked for through either way in, on two
-    # IndexSets or on masks, not checks: an interned interval is checked
-    # once, on its first build; a mask-path miss that goes on to the
-    # call on two IndexSets counts once
+    # counts the intervals asked for through either way in, the checked
+    # constructor or Interval.from_masks, not checks: a kept interval is
+    # checked once, on its first build; a from_masks miss that goes on
+    # to the constructor counts once
     built, inside = [], []
-    meta = type(Interval)
-    construct, from_masks = meta.__call__, meta.from_masks
+    check, from_masks = Interval.__post_init__, Interval.from_masks.__func__
 
-    def counted(cls, *args, **kwargs):
-        atom = construct(cls, *args, **kwargs)
-        if cls is Interval and not inside:
-            built.append(atom)
-        return atom
+    def counted_check(self):
+        check(self)
+        if type(self) is Interval and not inside:
+            built.append(self)
 
     def counted_masks(cls, *args):
         inside.append(cls)
@@ -238,8 +236,8 @@ def intervals_built(monkeypatch):
             built.append(atom)
         return atom
 
-    monkeypatch.setattr(meta, "__call__", counted)
-    monkeypatch.setattr(meta, "from_masks", counted_masks)
+    monkeypatch.setattr(Interval, "__post_init__", counted_check)
+    monkeypatch.setattr(Interval, "from_masks", classmethod(counted_masks))
     return built
 
 

@@ -90,6 +90,15 @@ class TestExtElement:
         with pytest.raises(NMismatchError):
             wedge(e(2, 1), e(3, 1))
 
+    def test_n_mismatch_in_theta_and_the_dual_image(self):
+        # a generator or functional over n=7 has masks that also fit n=3
+        emod = to_exterior(SqQuotient(3, SqIdeal.of(3, []), SqIdeal.of(3, [0b1])))
+        assert theta(emod, IndexSet(3, 0b11), [(1, IndexSet(3, 1))]) == e(3, 1, 2)
+        with pytest.raises(NMismatchError):
+            theta(emod, IndexSet(3, 0b11), [(1, IndexSet(7, 1))])
+        with pytest.raises(NMismatchError):
+            dual_functional_image(emod, ExtElement.basis(7, 1))
+
     @pytest.mark.parametrize("items, message", [
         (((1, 0.5),), "not a pair of ints"),
         (((1.0, 1),), "not a pair of ints"),

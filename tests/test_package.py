@@ -184,3 +184,20 @@ def test_only_cli_main_writes_stdout_and_times():
                for node, name in _cli_output_uses(ast.walk(tree))
                if id(node) not in inside]
     assert outside == []
+
+
+# the pair-sharing policy, the bound and the per-class tables, as a
+# name, an attribute or an imported name
+SHARING = {"_kept", "INTERN_MAX_N"}
+
+
+def test_only_setcalc_knows_the_sharing_policy():
+    files = sorted(PACKAGE.rglob("*.py"))
+    uses = [(path.stem, node.lineno, name)
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))
+            if name in SHARING]
+    assert {name for stem, _, name in uses if stem == "setcalc"} == SHARING
+    assert [f"{stem}.py:{line} {name}" for stem, line, name in uses if stem != "setcalc"] == []

@@ -329,48 +329,41 @@ def pair_args(cls, n):
 
 
 def table_sizes():
-    return [len(cls._kept) for cls in (IndexSet,) + PAIR_CLASSES]
+    return [len(cls._kept) for cls in PAIR_CLASSES]
 
 
 class TestInterning:
-    """The set atoms share one instance per value over n <= INTERN_MAX_N,
-    and every other call builds and checks a fresh object as before."""
+    """The pair atoms asked for by their masks share one instance per
+    value over n <= INTERN_MAX_N, through one table per class; every
+    other call builds and checks a fresh object."""
 
     def test_bound_is_six(self):
         assert INTERN_MAX_N == 6
 
-    @given(small_sets)
-    def test_equal_index_sets_are_shared_up_to_the_bound(self, nm):
-        n, m = nm
-        assert IndexSet(n, m) == IndexSet(n, m)
-        assert (IndexSet(n, m) is IndexSet(n, m)) == (n <= INTERN_MAX_N)
-
     @pytest.mark.parametrize("cls", PAIR_CLASSES)
     def test_equal_pairs_are_shared_up_to_the_bound(self, cls):
-        for n in range(2, INTERN_MAX_N + 1):
+        for n in range(2, INTERN_MAX_N + 3):
             a, b = pair_args(cls, n)
-            assert cls(a, b) is cls(IndexSet(n, a.mask), IndexSet(n, b.mask))
-        assert IndexSet.of(4, [1, 3]) is IndexSet(4, 0b101) is IndexSet(4, 0b100) | IndexSet(4, 0b1)
+            atom = cls.from_masks(n, a.mask, b.mask)
+            assert atom == cls(a, b)
+            assert (atom is cls.from_masks(n, a.mask, b.mask)) == (n <= INTERN_MAX_N)
+            # the checked constructor never enters the table
+            assert cls(a, b) is not atom and cls(a, b) is not cls(a, b)
 
     @pytest.mark.parametrize("cls", PAIR_CLASSES)
     def test_masks_meet_the_object_path_on_every_kept_pair(self, cls):
         class Fresh(cls):
-            # a subclass starts with its own empty table, so each way in
-            # is tried first on half of the pairs
+            # a subclass starts with its own empty table
             __slots__ = ()
 
         for n in range(INTERN_MAX_N + 1):
             for t in range(1 << n):
                 for a in submasks(t):
                     b = t if cls is Interval else t & ~a
-                    if (a ^ t) & 1:
-                        by_masks = Fresh.from_masks(n, a, b)
-                        assert Fresh(IndexSet(n, a), IndexSet(n, b)) is by_masks
-                    else:
-                        by_parts = Fresh(IndexSet(n, a), IndexSet(n, b))
-                        assert Fresh.from_masks(n, a, b) is by_parts
-                    assert cls.from_masks(n, a, b) is cls(IndexSet(n, a), IndexSet(n, b))
-                    assert type(Fresh.from_masks(n, a, b)) is Fresh
+                    atom = Fresh.from_masks(n, a, b)
+                    assert type(atom) is Fresh and Fresh.from_masks(n, a, b) is atom
+                    assert atom == Fresh(IndexSet(n, a), IndexSet(n, b))
+                    assert cls.from_masks(n, a, b) == cls(IndexSet(n, a), IndexSet(n, b))
         assert len(Fresh._kept) == sum(3 ** n for n in range(INTERN_MAX_N + 1))
 
     @pytest.mark.parametrize("cls", PAIR_CLASSES)
@@ -408,9 +401,7 @@ class TestInterning:
                 assert twin == cls(a, b) and twin is not cls.from_masks(n, a.mask, b.mask)
         assert IndexSet(n, 5) is not IndexSet(n, 5)
         assert table_sizes() == before
-        limit = [sum(2 ** k for k in range(INTERN_MAX_N + 1))] + [
-            sum(3 ** k for k in range(INTERN_MAX_N + 1))] * len(PAIR_CLASSES)
-        assert all(size <= cap for size, cap in zip(table_sizes(), limit))
+        assert all(size <= sum(3 ** k for k in range(INTERN_MAX_N + 1)) for size in table_sizes())
 
     def test_bad_index_sets_are_refused_on_every_call(self):
         IndexSet(4, 5)
@@ -423,8 +414,8 @@ class TestInterning:
                 IndexSet(4.0, 5)
 
     def test_bools_take_the_unshared_path(self):
-        # a bool is an int to the checks, so these are built as before,
-        # but never handed the kept atom that equals them
+        # a bool is an int to the checks, so these are built and keep
+        # the types they were given; an interval holds the parts it got
         kept = IndexSet(1, 1)
         for args in ((True, 1), (1, True), (True, True)):
             s = IndexSet(*args)
@@ -456,7 +447,6 @@ class TestInterning:
             assert dataclasses.replace(atom) == atom
             for twin in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom), copy.copy(atom)):
                 assert twin == atom and type(twin) is type(atom)
-                assert (twin is atom) == (n <= INTERN_MAX_N)
         assert dataclasses.replace(atoms[0], mask=6) == IndexSet(n, 6)
         assert dataclasses.replace(atoms[1], top=IndexSet(n, 7)) == Interval(IndexSet(n, 1), IndexSet(n, 7))
 
@@ -466,13 +456,13 @@ class TestInterning:
             __slots__ = ()
 
         n = INTERN_MAX_N
-        pairs = [(IndexSet(n, b), IndexSet(n, t)) for t in range(1 << n) for b in submasks(t)]
+        pairs = [(b, t) for t in range(1 << n) for b in submasks(t)]
         seen = [[] for _ in range(4)]
         start = threading.Barrier(len(seen))
 
         def build(out):
             start.wait()
-            out.extend(Fresh(b, t) for b, t in pairs)
+            out.extend(Fresh.from_masks(n, b, t) for b, t in pairs)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
