@@ -27,6 +27,16 @@ its Betti number is the member count.  Ranks are taken by sparse
 elimination over a prime field, or over the rationals when the
 characteristic is zero; any other characteristic is refused.
 
+The complex in degree sigma depends only on sigma, on the support
+members inside sigma and on the characteristic, and few such patterns
+recur across degrees, modules and duals: the 14,826 tables of the n = 4
+modules and their duals visit 105,106 degrees but only 3,937 patterns.
+So for n <= 6 (setcalc.keeps_tables) a degree's Betti numbers come from
+one memo, _degree_betti, keyed by sigma, the word of the support members
+inside sigma (below 2^64) and the characteristic, and bounded at
+_DEGREE_MEMO entries, least recently used dropped first.  Above n = 6
+every degree is ranked afresh.
+
 On top of the table: regularity, projective dimension, depth through
 the Auslander-Buchsbaum formula, Krull dimension from the support
 facets, Cohen-Macaulayness, and linearity of the resolution.  The
@@ -39,7 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, ZeroModuleError
-from .setcalc import IndexSet, SimplicialComplex, cone_word, up_closure, word_masks
+from .setcalc import (IndexSet, SimplicialComplex, cone_word, keeps_tables, up_closure,
+                      word_masks)
 from .sqmod import SqQuotient, _sdepth_walk, dualize_quotient, face_ring
 
 DEFAULT_CHAR = 32003
@@ -157,6 +168,65 @@ class BettiTable:
         return "\n".join(lines) if lines else "(zero table)"
 
 
+# Entries of the per-degree memo: all n <= 4 modules and their duals in
+# three characteristics fill 11,811.
+_DEGREE_MEMO = 1 << 14
+
+
+def _sub(sigma: int) -> int:
+    """The word of the subsets of sigma: one shift-or per element."""
+    word = 1
+    while sigma:
+        low = sigma & -sigma
+        sigma ^= low
+        word |= word << low
+    return word
+
+
+@lru_cache(maxsize=_DEGREE_MEMO)
+def _degree_betti(sigma: int, local: int, char: int) -> tuple[tuple[int, int], ...]:
+    """_degree, memoized.  local is the word of the support members
+    inside sigma; with sigma and char it fixes the degree's complex."""
+    return _degree(sigma, word_masks(local), char)
+
+
+def _degree(sigma: int, inside, char: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (level, Betti number) pairs of degree sigma, given
+    the support members inside sigma in increasing order."""
+    bases = {}
+    index = {}
+    for u in inside:
+        t = sigma ^ u
+        lst = bases.setdefault(t.bit_count(), [])
+        index[t] = len(lst)
+        lst.append(t)
+    ranks = {}
+    for i, lst in bases.items():
+        lower = bases.get(i - 1)
+        if not lower:
+            continue
+        rows = []
+        for t in lst:
+            row = [0] * len(lower)
+            rest = t
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                col = index.get(t ^ low)
+                if col is not None:
+                    row[col] = -1 if (t & (low - 1)).bit_count() % 2 else 1
+            rows.append(row)
+        ranks[i] = _rank(rows, char)
+    out = []
+    for i, lst in bases.items():
+        b = len(lst) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        if b < 0:
+            raise InternalCheckError("negative homology dimension")
+        if b:
+            out.append((i, b))
+    return tuple(out)
+
+
 def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
     """The multigraded Betti table of the module over the chosen field.
 
@@ -164,40 +234,16 @@ def betti(module: SqQuotient, char: int = DEFAULT_CHAR) -> BettiTable:
     check_char(char)
     n = module.n
     word = module.support_word
-    members = word_masks(word)
+    # above the bound each degree is ranked afresh, its members found by
+    # filtering the support, which is cheaper there than a 2^n-bit word
+    members = None if keeps_tables(n) else word_masks(word)
     entries = []
     for sigma in word_masks(up_closure(word, n) & ~cone_word(word, n)):
-        inside = [u for u in members if u & sigma == u]
-        bases = {}
-        index = {}
-        for u in inside:
-            t = sigma ^ u
-            lst = bases.setdefault(t.bit_count(), [])
-            index[t] = len(lst)
-            lst.append(t)
-        ranks = {}
-        for i, lst in bases.items():
-            lower = bases.get(i - 1)
-            if not lower:
-                continue
-            rows = []
-            for t in lst:
-                row = [0] * len(lower)
-                rest = t
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    col = index.get(t ^ low)
-                    if col is not None:
-                        row[col] = -1 if (t & (low - 1)).bit_count() % 2 else 1
-                rows.append(row)
-            ranks[i] = _rank(rows, char)
-        for i, lst in bases.items():
-            b = len(lst) - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            if b < 0:
-                raise InternalCheckError("negative homology dimension")
-            if b:
-                entries.append((i, sigma, b))
+        if members is None:
+            pairs = _degree_betti(sigma, word & _sub(sigma), char)
+        else:
+            pairs = _degree(sigma, [u for u in members if u & sigma == u], char)
+        entries.extend((i, sigma, b) for i, b in pairs)
     return BettiTable(n, char, tuple(sorted(entries)))
 
 

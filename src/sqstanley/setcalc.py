@@ -50,6 +50,18 @@ def _same_n(a, b) -> None:
         raise NMismatchError(f"ground sets differ: n={a.n} vs n={b.n}")
 
 
+def keeps_tables(n: int) -> bool:
+    """Whether values over [n] go into kept tables, as in
+    MaskPair.from_masks (which inlines the test): n <= INTERN_MAX_N, where
+    a family word stays below 2^64 and 3^n pairs stay few."""
+    return n <= INTERN_MAX_N
+
+
+def braced(n: int, mask: int) -> str:
+    """The 1-based members of a mask over [n] in braces: {1,3}, or {}."""
+    return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask` in increasing (colex) order, 0 first."""
     s = 0
@@ -252,7 +264,7 @@ class IndexSet:
         return self.mask & other.mask == 0
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.members) + "}"
+        return braced(self.n, self.mask)
 
     def __repr__(self) -> str:
         return f"IndexSet.of({self.n}, {self.members})"

@@ -22,7 +22,7 @@ from random import Random
 from .errors import CapExceededError, TheoremViolationError
 from .homology import DEFAULT_CHAR, betti, invariants
 from .instances import all_quotients, random_quotient
-from .setcalc import IndexSet
+from .setcalc import braced
 from .sqmod import SqQuotient, _hreg_walk, _is_partition, _sdepth_walk, dualize_quotient
 
 EXHAUSTIVE_CAP = 4
@@ -57,7 +57,7 @@ class SurveyRecord:
         """The record under COLUMNS, generator masks written as sets."""
         row = {c: getattr(self, c) for c in COLUMNS}
         for c in ("inner", "outer"):
-            row[c] = " ".join(str(IndexSet(self.n, m)) for m in row[c]) or "-"
+            row[c] = " ".join(braced(self.n, m) for m in row[c]) or "-"
         return row
 
 

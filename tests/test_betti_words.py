@@ -3,9 +3,9 @@
 ref_betti below is the table computation that visited every degree
 sigma and every submask of it over a Python set, ranking dense +-1
 matrices by dense elimination (ref_rank).  The word-based betti must
-give exactly its tables, in every characteristic tested, and must rank
-exactly the boundary maps between adjacent nonempty levels of the
-degrees that are not cones.
+give exactly its tables, in every characteristic tested, with its
+per-degree memo cold and warm, and must rank exactly the boundary maps
+between adjacent nonempty levels of the degrees that are not cones.
 """
 
 import random
@@ -18,7 +18,7 @@ from sqstanley import homology
 from sqstanley.homology import DEFAULT_CHAR, betti
 from sqstanley.instances import all_complexes, all_quotients, random_quotient
 from sqstanley.partition import face_ring
-from sqstanley.setcalc import submasks
+from sqstanley.setcalc import SimplicialComplex, submasks
 from sqstanley.sqmod import dualize_quotient
 
 CHARS = (0, 2, 32003)
@@ -125,8 +125,11 @@ def small_modules():
 @pytest.mark.parametrize("char", CHARS)
 def test_every_small_module_and_dual(small_modules, char):
     assert len(small_modules) == 2 * (1 + 7578)
-    for module in small_modules:
-        assert betti(module, char).entries == ref_betti(module, char), module
+    homology._degree_betti.cache_clear()
+    refs = [ref_betti(module, char) for module in small_modules]
+    for _ in ("cold", "warm"):
+        for module, ref in zip(small_modules, refs):
+            assert betti(module, char).entries == ref, module
 
 
 def test_every_n5_face_ring_and_dual():
@@ -154,9 +157,47 @@ def test_only_non_cone_multi_level_degrees_are_ranked(small_modules, monkeypatch
         return real(rows, char)
     monkeypatch.setattr(homology, "_rank", counted)
     for module in small_modules[::7]:
+        # within one module every degree is distinct, so a cold memo
+        # ranks each of them once
+        homology._degree_betti.cache_clear()
         calls.clear()
         betti(module)
         assert len(calls) == ref_rank_calls(module), module
+
+
+# ---------------------------------------------------------------- memo
+
+def test_the_characteristic_is_part_of_the_memo_key():
+    # the 6-vertex real projective plane: H_1 = Z/2, so its face ring
+    # has one more syzygy level in characteristic 2 only
+    cx = SimplicialComplex.from_facets(6, [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
+    ring = face_ring(cx)
+    homology._degree_betti.cache_clear()
+    totals = []
+    for char in (0, 2, 0):
+        table = betti(ring, char)
+        totals.append([table.total(i) for i in range(table.projdim + 1)])
+    assert totals == [[1, 10, 15, 6], [1, 10, 15, 7, 1], [1, 10, 15, 6]]
+
+
+def test_the_memo_is_bounded_and_kept_only_up_to_n6(small_modules):
+    homology._degree_betti.cache_clear()
+    for char in CHARS:
+        for module in small_modules:
+            betti(module, char)
+    info = homology._degree_betti.cache_info()
+    assert info.maxsize == homology._DEGREE_MEMO
+    # nothing was evicted: the bound holds every n <= 4 pattern
+    assert info.currsize == info.misses <= info.maxsize
+    rng = random.Random(7)
+    assert not betti(random_quotient(rng, 6)).is_empty
+    kept = homology._degree_betti.cache_info()
+    assert info.misses < kept.misses and kept.currsize <= kept.maxsize
+    # above n = 6 no degree is looked up or kept
+    assert not betti(random_quotient(rng, 7)).is_empty
+    assert homology._degree_betti.cache_info() == kept
 
 
 # ---------------------------------------------------------------- ranks

@@ -50,6 +50,7 @@ def battery():
             runs[f"invariants char {char} {kind}"] = ["--char", char, "invariants", kind]
     runs["survey json n3"] = ["survey", "--n", "3"]
     runs["survey csv n3"] = ["--format", "csv", "survey", "--n", "3"]
+    runs["survey json n4"] = ["survey", "--n", "4"]
     runs["survey random"] = ["survey", "--n", "4", "--count", "5", "--seed", "7"]
     return runs
 
@@ -172,6 +173,7 @@ PINS = {
     "sdepth json quotient": (0, "ace913d38350539e"),
     "survey csv n3": (0, "8d3ccde97ca5130c"),
     "survey json n3": (0, "331e38f18ed040d0"),
+    "survey json n4": (0, "5477eb491ebbc0cb"),
     "survey random": (0, "3d66545722e205cc"),
 }
 
