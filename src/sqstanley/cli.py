@@ -134,7 +134,7 @@ def cmd_sdepth(args):
     module = _nonzero_module(args)
     value, dec = sdepth(module)
     rows = [{"n": module.n, "sdepth": value, "intervals": len(dec.intervals)}]
-    return {"n": module.n, "sdepth": value, "decomposition": to_jsonable(dec)}, rows
+    return {"n": module.n, "sdepth": value, "decomposition": dec}, rows
 
 
 def cmd_hreg(args):
@@ -142,18 +142,18 @@ def cmd_hreg(args):
     # hreg_dual = n - sdepth(dual) is this search read the other way
     value, dec = hreg_min(module)
     row = {"n": module.n, "hreg_min": value, "hreg_dual": value}
-    return {**row, "decomposition": to_jsonable(dec)}, [row]
+    return {**row, "decomposition": dec}, [row]
 
 
 def cmd_decompose(args):
     module = _nonzero_module(args)
     value, dec = sdepth(module)
     return {"n": module.n, "sdepth": value, "hreg": dec.hreg,
-            "decomposition": to_jsonable(dec)}, None
+            "decomposition": dec}, None
 
 
 def _filtration_document(module, filt):
-    return {**instance_document(module), "filtration": to_jsonable(filt)}
+    return {**instance_document(module), "filtration": filt}
 
 
 def _parse_filtration_document(obj):
@@ -209,23 +209,19 @@ def cmd_exterior(args):
         if f.mask not in emod.support_masks():
             raise FormatError(f"{f} is not in the support of the quotient")
         image = theta_monomial(emod, f)
-        return {"n": module.n, "set": to_jsonable(f),
-                "theta": to_jsonable(image)}, None
+        return {"n": module.n, "set": f, "theta": image}, None
     value, dec = sdepth(module)
     epieces = s_to_e_decomposition(dec)
     dual, signs = edual_decomposition(epieces)
-    return {"n": module.n, "sdepth": value,
-            "pieces": to_jsonable(epieces),
-            "dual_pieces": to_jsonable(dual),
-            "signs": list(signs)}, None
+    return {"n": module.n, "sdepth": value, "pieces": epieces,
+            "dual_pieces": dual, "signs": signs}, None
 
 
 def cmd_invariants(args):
     module = _nonzero_module(args)
     inv = invariants(module, args.char)
-    payload = to_jsonable(inv)
-    row = {k: v for k, v in payload.items() if k != "betti"}
-    return payload, [row]
+    row = {k: v for k, v in to_jsonable(inv).items() if k != "betti"}
+    return inv, [row]
 
 
 def cmd_linquot(args):
@@ -237,13 +233,12 @@ def cmd_linquot(args):
         row = {"n": parsed.n, "linear_quotients": False}
         return row, [row]
     payload = {"n": parsed.n, "linear_quotients": True,
-               "order": [to_jsonable(g) for g in order.gens],
-               "colon_vars": [sorted(IndexSet(parsed.n, v).members)
-                              for v in order.colon_vars],
+               "order": order.gens,
+               "colon_vars": [IndexSet(parsed.n, v) for v in order.colon_vars],
                "r": order.r}
     if parsed.is_squarefree:
         dec = _order_decomposition(SqIdeal.from_monomial_ideal(parsed), order)
-        payload["decomposition"] = to_jsonable(dec)
+        payload["decomposition"] = dec
         payload["sdepth"] = dec.sdepth if dec.intervals else None
     row = {"n": parsed.n, "linear_quotients": True, "r": order.r,
            "order": " ".join(str(g) for g in order.gens)}
@@ -261,8 +256,7 @@ def cmd_partition(args):
            "cohen_macaulay": rec.cohen_macaulay,
            "dual_generator_bottoms": rec.dual_generator_bottoms,
            "ok": rec.ok}
-    partition = to_jsonable(rec.partition) if rec.partition else None
-    return {**row, "partition": partition}, [row]
+    return {**row, "partition": rec.partition or None}, [row]
 
 
 def _survey_cap(args):

@@ -8,13 +8,15 @@ strictly increasing support lists, and an explicit ``encoding`` key
 ("exponents" or "support") overrides the inference.  Complex facets
 are always support lists.
 
-Serialization goes the other way: ``to_jsonable`` turns any object of
-this package into plain dicts and lists (index sets become sorted
-1-based member lists), ``dump_json`` renders deterministically, and
-``write_csv`` lays flat record dicts out as a table.  A dataclass
-serializes field by field, so decompositions, filtrations and exterior
-pieces need no code here; only types whose document differs from their
-fields register a handler.
+Serialization goes the other way, in json's own walk: ``dump_json``
+renders deterministically, calling ``_document`` for each value that
+json cannot write itself, and ``to_jsonable`` reads that document back
+as plain dicts and lists.  ``_document`` goes one level deep: a
+dataclass gives its fields, so decompositions, filtrations and exterior
+pieces need no code here, and a type whose document differs from its
+fields registers a handler.  Every set goes out as an IndexSet, whose
+handler alone writes the sorted 1-based members.  ``write_csv`` lays
+flat record dicts out as a table.
 """
 
 import csv
@@ -114,7 +116,7 @@ def parse_instance(source):
     if not isinstance(obj, dict):
         raise FormatError("instance document must be a JSON object")
     version = obj.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION or isinstance(version, bool):
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version!r}")
     n = obj.get("n")
     if type(n) is not int or n < 1:
@@ -145,63 +147,60 @@ def parse_instance(source):
 
 
 @singledispatch
-def to_jsonable(x):
+def _document(x):
+    """The document of x one level deep, for json.dumps's default hook:
+    a dataclass gives its fields, a registered type its own document."""
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: to_jsonable(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
-    if isinstance(x, (list, tuple)):
-        return [to_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
+        return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-@to_jsonable.register
+@_document.register
 def _(x: IndexSet):
-    return sorted(x.members)
+    return x.members
 
 
-@to_jsonable.register
+@_document.register
 def _(x: Monomial):
-    return list(x.exponents)
+    return x.exponents
 
 
-@to_jsonable.register
+@_document.register
 def _(x: SqIdeal):
     # pin the encoding: a support list of length exactly n would
     # otherwise re-read as an exponent vector
-    return {"gens": [sorted(IndexSet(x.n, m).members) for m in x.gen_masks],
-            "encoding": "support"}
+    return {"gens": x.gens, "encoding": "support"}
 
 
-@to_jsonable.register
+@_document.register
 def _(x: MonomialIdeal):
-    return {"gens": [list(g.exponents) for g in x.gens], "encoding": "exponents"}
+    return {"gens": x.gens, "encoding": "exponents"}
 
 
-@to_jsonable.register
+@_document.register
 def _(x: SimplicialComplex):
-    return {"facets": [sorted(f.members) for f in x.facets]}
+    return {"facets": x.facets}
 
 
-@to_jsonable.register
+@_document.register
 def _(x: SqQuotient):
-    return {"inner": to_jsonable(x.inner), "outer": to_jsonable(x.outer)}
+    return {"inner": x.inner, "outer": x.outer}
 
 
-@to_jsonable.register
+@_document.register
 def _(x: ExtElement):
-    return {"terms": [{"set": sorted(IndexSet(x.n, m).members), "coeff": c}
-                      for m, c in x.items]}
+    return {"terms": [{"set": IndexSet(x.n, m), "coeff": c} for m, c in x.items]}
 
 
-@to_jsonable.register
+@_document.register
 def _(x: BettiTable):
     return {"char": x.char,
-            "entries": [[i, sorted(IndexSet(x.n, m).members), v]
-                        for i, m, v in x.entries]}
+            "entries": [(i, IndexSet(x.n, m), v) for i, m, v in x.entries]}
+
+
+def to_jsonable(x):
+    """x as plain dicts, lists and scalars: its JSON document read back."""
+    return json.loads(json.dumps(x, default=_document))
 
 
 def instance_document(x) -> dict:
@@ -218,7 +217,7 @@ def instance_document(x) -> dict:
 
 
 def dump_json(x) -> str:
-    return json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\n"
+    return json.dumps(x, default=_document, sort_keys=True, indent=2) + "\n"
 
 
 def write_csv(rows, stream, columns=None):

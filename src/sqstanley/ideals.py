@@ -89,10 +89,6 @@ class Monomial:
         _same_n(self, other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _same_n(self, other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def quotient_by(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other); the colon generator contributed by self."""
         _same_n(self, other)
@@ -183,10 +179,6 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].is_one
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.gens)
 
@@ -271,10 +263,6 @@ class SqIdeal:
     @property
     def is_unit(self) -> bool:
         return self.gen_masks == (0,)
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def contains_mask(self, mask: int) -> bool:
         for g in self.gen_masks:

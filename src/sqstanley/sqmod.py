@@ -141,9 +141,6 @@ class SqQuotient:
     def support_masks(self) -> tuple[int, ...]:
         return self._support_masks
 
-    def support(self) -> tuple[IndexSet, ...]:
-        return tuple(IndexSet(self.n, m) for m in self.support_masks())
-
     def facet_masks(self) -> tuple[int, ...]:
         """Maximal members of the support: those with no member one
         element larger, the support being order convex."""

@@ -153,6 +153,13 @@ class TestModuleCommands:
         assert code == 2
         assert "zero" in err
 
+    def test_float_version_refused(self, capsys, tmp_path):
+        path = write(tmp_path, "v.json", {
+            "version": 1.0, "n": 2, "ideal": {"gens": [[1]], "encoding": "support"}})
+        code, out, err = run(capsys, "sdepth", path)
+        assert (code, out) == (2, "")
+        assert "version 1.0" in err
+
     def test_example_support_pair(self, capsys, tmp_path):
         # x1^2, x1x2 inside adds x2x3 only: support is the single set {2,3}
         path = write(tmp_path, "ex.json", {

@@ -1,12 +1,21 @@
+import dataclasses
 import json
+from functools import singledispatch
 
 import pytest
 
 from sqstanley.errors import FormatError
-from sqstanley.exterior import edual_decomposition, s_to_e_decomposition
+from sqstanley.exterior import (
+    ExtElement,
+    edual_decomposition,
+    s_to_e_decomposition,
+    theta_monomial,
+    to_exterior,
+)
 from sqstanley.filtration import dualize_filtration, facet_peel_filtration
 from sqstanley.formats import (
     QuotientSpec,
+    _document,
     dump_json,
     instance_document,
     parse_gens,
@@ -14,10 +23,12 @@ from sqstanley.formats import (
     to_jsonable,
     write_csv,
 )
-from sqstanley.homology import betti
+from sqstanley.homology import BettiTable, betti, invariants
 from sqstanley.ideals import Monomial, MonomialIdeal, SqIdeal
+from sqstanley.linquot import linear_quotients_order
 from sqstanley.setcalc import IndexSet, SimplicialComplex
 from sqstanley.sqmod import SqQuotient, dualize_decomposition, sdepth
+from sqstanley.survey import survey_module
 
 
 class TestParsing:
@@ -91,6 +102,8 @@ class TestParsing:
          "outer: support entry True"),
         ('{"n": 2, "complex": {"facets": [[1, true]]}}', "complex: support entry True"),
         ('{"version": true, "n": 1, "ideal": {"gens": []}}', "version"),
+        ('{"version": 1.0, "n": 1, "ideal": {"gens": []}}', "version 1.0"),
+        ('{"version": "1", "n": 1, "ideal": {"gens": []}}', "version '1'"),
     ])
     def test_bools_are_not_integers(self, doc, field):
         with pytest.raises(FormatError, match=field):
@@ -234,3 +247,121 @@ class TestDataclassDocuments:
             "n": 3,
             "pieces": [{"start": [1], "free": [3]},
                        {"start": [2], "free": [1, 3]}]}
+
+
+# The recursive walk that to_jsonable was before json's own walk took
+# over, kept as the reference: each registered type spells out its
+# document in plain lists, and containers are rebuilt by hand.
+@singledispatch
+def ref(x):
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: ref(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [ref(v) for v in x]
+    if isinstance(x, dict):
+        return {k: ref(v) for k, v in x.items()}
+    if isinstance(x, (bool, int, str)) or x is None:
+        return x
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+@ref.register
+def _(x: IndexSet):
+    return sorted(x.members)
+
+
+@ref.register
+def _(x: Monomial):
+    return list(x.exponents)
+
+
+@ref.register
+def _(x: SqIdeal):
+    return {"gens": [sorted(IndexSet(x.n, m).members) for m in x.gen_masks],
+            "encoding": "support"}
+
+
+@ref.register
+def _(x: MonomialIdeal):
+    return {"gens": [list(g.exponents) for g in x.gens], "encoding": "exponents"}
+
+
+@ref.register
+def _(x: SimplicialComplex):
+    return {"facets": [sorted(f.members) for f in x.facets]}
+
+
+@ref.register
+def _(x: SqQuotient):
+    return {"inner": ref(x.inner), "outer": ref(x.outer)}
+
+
+@ref.register
+def _(x: ExtElement):
+    return {"terms": [{"set": sorted(IndexSet(x.n, m).members), "coeff": c}
+                      for m, c in x.items]}
+
+
+@ref.register
+def _(x: BettiTable):
+    return {"char": x.char,
+            "entries": [[i, sorted(IndexSet(x.n, m).members), v]
+                        for i, m, v in x.entries]}
+
+
+def _one_walk_cases():
+    module = SqQuotient(3, SqIdeal.of(3, [0b011]), SqIdeal.of(3, [0]))
+    _, dec = sdepth(module)
+    filt = facet_peel_filtration(module)
+    pieces = s_to_e_decomposition(dec)
+    dual_pieces, signs = edual_decomposition(pieces)
+    ideal = MonomialIdeal.of(3, [Monomial.of(2, 0, 0), Monomial.of(1, 1, 0),
+                                 Monomial.of(0, 1, 1)])
+    order = linear_quotients_order(ideal)
+    assert order is not None
+    cases = {
+        "index set": IndexSet(4, 0b1010),
+        "monomial": Monomial.of(2, 0, 1),
+        "squarefree ideal": SqIdeal.of(3, [0b011, 0b100]),
+        "monomial ideal": ideal,
+        "complex": SimplicialComplex.from_facets(
+            4, [IndexSet(4, 0b0111), IndexSet(4, 0b1001)]),
+        "quotient": module,
+        "exterior element": theta_monomial(to_exterior(module), IndexSet(3, 0b100)),
+        "betti table": betti(module),
+        "decomposition": dec,
+        "filtration": filt,
+        "dual filtration": dualize_filtration(filt),
+        "exterior pieces": pieces,
+        "invariants": invariants(module),
+        "linear quotients order": order,
+        "survey row": survey_module(module).row(),
+    }
+    cases["command payload"] = {
+        "n": 3, "sdepth": dec.sdepth, "decomposition": dec, "signs": signs,
+        "pieces": [pieces, dual_pieces], "order": order.gens,
+        "colon_vars": [IndexSet(3, v) for v in order.colon_vars],
+        "module": (module, {"betti": cases["betti table"], "partition": None})}
+    return cases
+
+
+class TestOneWalk:
+    cases = _one_walk_cases()
+
+    def test_every_registered_type_is_covered(self):
+        covered = {type(x) for x in self.cases.values()}
+        assert set(_document.registry) - {object} <= covered
+
+    @pytest.mark.parametrize("name", sorted(cases))
+    def test_matches_the_recursive_walk(self, name):
+        x = self.cases[name]
+        assert dump_json(x) == json.dumps(ref(x), sort_keys=True, indent=2) + "\n"
+        assert to_jsonable(x) == ref(x)
+
+    @pytest.mark.parametrize("x", [object(), {1, 2}, [IndexSet(2, 1), {3}]],
+                             ids=["object", "set", "nested-set"])
+    def test_unknown_values_are_refused(self, x):
+        with pytest.raises(TypeError):
+            dump_json(x)
+        with pytest.raises(TypeError):
+            to_jsonable(x)
